@@ -5,9 +5,11 @@
 //!
 //! ## Why the executors cannot disagree
 //!
-//! A rank's profile is a pure function of its own operation sequence
-//! plus, for each receive, the `(depart_time, n_chunks, words)` of the
-//! matching transfer. Matching is per-`(src, tag)` FIFO, and each
+//! Every executor charges through `psse_sim::lane`, the one Eq. 1
+//! pricing core: each rank's [`Lane`] here is the same type the thread
+//! backend's `Rank` wraps. A rank's profile is a pure function of its
+//! own operation sequence plus, for each receive, the `(departure,
+//! words)` of the matching transfer. Matching is per-`(src, tag)` FIFO, and each
 //! `(src, tag)` key has a single sender whose sends are totally ordered
 //! by its own program — so *which* wire matches *which* receive is
 //! fixed by the programs alone, independent of executor scheduling.
@@ -44,13 +46,12 @@
 //! set, in zero wall-clock time.
 
 use crate::calq::{CalendarQueue, SchedKey};
-use crate::ctx::RankCtx;
 use crate::fastpath;
 use crate::program::RankProgram;
-use crate::slab::Mailbox;
-use crate::step::Step;
+use crate::slab::{Mailbox, Wire};
+use crate::step::{Delivered, Payload, Step};
 use psse_sim::error::SimResult;
-use psse_sim::{Profile, SimConfig, SimError, Tag};
+use psse_sim::{Lane, Profile, SimConfig, SimError, Tag};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -108,18 +109,54 @@ type Waiting = (usize, Tag, f64);
 
 struct Slot<P> {
     program: P,
-    ctx: RankCtx,
+    lane: Lane,
     status: Status,
     /// Undelivered transfers, held in per-`(src, tag)` FIFO chains
     /// threaded through a recycling slab (see `crate::slab`).
     inbox: Mailbox,
     waiting: Option<Waiting>,
-    pending: Option<crate::step::Delivered>,
+    pending: Option<Delivered>,
+}
+
+impl<P> Slot<P> {
+    /// Price the program's send on its lane and put it on the wire.
+    #[inline]
+    fn send(
+        &mut self,
+        cfg: &SimConfig,
+        dest: usize,
+        tag: Tag,
+        payload: Payload,
+    ) -> SimResult<Wire> {
+        let words = payload.words();
+        let mut data = match payload {
+            Payload::Counted(_) => None,
+            Payload::Data(d) => Some(d),
+        };
+        let departure = self.lane.price_send(cfg, dest, tag, words, data.as_mut())?;
+        Ok(Wire {
+            departure,
+            words,
+            data,
+        })
+    }
+
+    /// Complete the receive begun at `t0` with `wire`; the delivery
+    /// resumes the program on its next turn.
+    #[inline]
+    fn deliver(&mut self, cfg: &SimConfig, t0: f64, src: usize, tag: Tag, wire: Wire) {
+        self.lane
+            .price_recv(cfg, t0, src, tag, wire.words, wire.departure);
+        self.pending = Some(Delivered {
+            words: wire.words,
+            data: wire.data,
+        });
+    }
 }
 
 /// An outgoing transfer buffered during a rank's turn:
 /// `(dest, src, tag, wire)`.
-type Outgoing = (usize, usize, Tag, crate::ctx::Wire);
+type Outgoing = (usize, usize, Tag, Wire);
 
 /// Run one rank until it blocks, completes, or fails. Outgoing
 /// transfers to other ranks are buffered in `out` (delivery is the
@@ -136,10 +173,7 @@ fn advance<P: RankProgram>(
     // executors — so this mailbox probe is a belt-and-braces fallback.)
     if let Some((src, tag, t0)) = slot.waiting.take() {
         match slot.inbox.pop(src, tag.0) {
-            Some(wire) => {
-                let d = slot.ctx.price_recv(cfg, t0, src, tag, wire);
-                slot.pending = Some(d);
-            }
+            Some(wire) => slot.deliver(cfg, t0, src, tag, wire),
             None => {
                 // Spurious wake: still nothing for us.
                 slot.waiting = Some((src, tag, t0));
@@ -151,11 +185,11 @@ fn advance<P: RankProgram>(
     loop {
         let delivered = slot.pending.take();
         match slot.program.next(delivered) {
-            Step::Compute { flops } => slot.ctx.compute(cfg, flops),
-            Step::CollBegin { op } => slot.ctx.mark_collective_begin(cfg, op),
-            Step::CollEnd { op } => slot.ctx.mark_collective_end(cfg, op),
+            Step::Compute { flops } => slot.lane.compute(cfg, flops),
+            Step::CollBegin { op } => slot.lane.mark_collective_begin(cfg, op),
+            Step::CollEnd { op } => slot.lane.mark_collective_end(cfg, op),
             Step::Send { dest, tag, payload } => {
-                let wire = slot.ctx.price_send(cfg, dest, tag, payload)?;
+                let wire = slot.send(cfg, dest, tag, payload)?;
                 if dest == r {
                     slot.inbox.push(r, tag.0, wire);
                 } else {
@@ -163,12 +197,9 @@ fn advance<P: RankProgram>(
                 }
             }
             Step::Recv { src, tag } => {
-                let t0 = slot.ctx.begin_recv(src)?;
+                let t0 = slot.lane.begin_recv(cfg, src)?;
                 match slot.inbox.pop(src, tag.0) {
-                    Some(wire) => {
-                        let d = slot.ctx.price_recv(cfg, t0, src, tag, wire);
-                        slot.pending = Some(d);
-                    }
+                    Some(wire) => slot.deliver(cfg, t0, src, tag, wire),
                     None => {
                         slot.waiting = Some((src, tag, t0));
                         slot.status = Status::Blocked;
@@ -177,7 +208,7 @@ fn advance<P: RankProgram>(
                 }
             }
             Step::Done => {
-                if let Some(e) = slot.ctx.take_fault_error() {
+                if let Some(e) = slot.lane.take_fault_error() {
                     return Err(e);
                 }
                 slot.status = Status::Done;
@@ -194,7 +225,7 @@ fn make_slots<P>(programs: Vec<P>, cfg: &SimConfig) -> Vec<Slot<P>> {
         .enumerate()
         .map(|(r, program)| Slot {
             program,
-            ctx: RankCtx::new(r, p, cfg),
+            lane: Lane::new(r, p, cfg),
             status: Status::Runnable,
             inbox: Mailbox::new(),
             waiting: None,
@@ -237,7 +268,7 @@ fn finish<P>(
         stats.slab_live_peak += slot.inbox.peak_live() as u64;
         stats.slab_recycled += slot.inbox.recycled();
         programs.push(slot.program);
-        let (rank_stats, events) = slot.ctx.into_parts();
+        let (rank_stats, events) = slot.lane.into_parts();
         per_rank.push(rank_stats);
         all_events.push(events);
     }
@@ -295,8 +326,8 @@ impl EventMachine {
 
     /// [`EventMachine::run`] with the analytic fast path disabled: the
     /// general scheduled executor, unconditionally. This is the oracle
-    /// half of the fast-path differential tests (`fastpath_identity`),
-    /// and what `PSSE_EVENT_NO_FASTPATH=1` forces process-wide.
+    /// half of the fast-path differential tests (`fastpath_identity`)
+    /// and the one way to force the general path.
     pub fn run_general<P, F>(p: usize, cfg: &SimConfig, mut make: F) -> SimResult<EventOutcome<P>>
     where
         P: RankProgram,
@@ -356,11 +387,10 @@ impl EventMachine {
                     if let Some((wsrc, wtag, t0)) = slot.waiting {
                         if wsrc == src && wtag == tag {
                             slot.waiting = None;
-                            let d = slot.ctx.price_recv(cfg, t0, src, tag, wire);
-                            slot.pending = Some(d);
+                            slot.deliver(cfg, t0, src, tag, wire);
                             slot.status = Status::Runnable;
                             queue.push(SchedKey {
-                                time: slot.ctx.now(),
+                                time: slot.lane.now(),
                                 rank: dest,
                                 seq,
                             });
@@ -466,8 +496,7 @@ impl EventMachine {
                         if let Some((wsrc, wtag, t0)) = slot.waiting {
                             if wsrc == src && wtag == tag {
                                 slot.waiting = None;
-                                let d = slot.ctx.price_recv(cfg, t0, src, tag, wire);
-                                slot.pending = Some(d);
+                                slot.deliver(cfg, t0, src, tag, wire);
                                 slot.status = Status::Runnable;
                                 woken.push(dest);
                                 continue;

@@ -4,34 +4,31 @@
 //! the per-rank Eq. 1/2 counters and virtual clocks, and those are a
 //! pure function of the message DAG (see the `exec` module docs). For
 //! the built-in allreduces the DAG is known in closed form, so instead
-//! of scheduling `O(p log p)` wires one by one, this module replays
-//! each rank's exact pricing sequence — the same `f64` operations, in
-//! the same operand order, with the same `max(clock, depart)` joins —
-//! directly over arrays. The result is byte-identical to the general
-//! executor (enforced by the `fastpath_identity` differential tests and
-//! by `EventMachine::run_general`, which forces the general path).
+//! of scheduling `O(p log p)` wires one by one, this module walks each
+//! rank's pricing sequence directly over arrays, charging every send,
+//! receive and compute with `psse_sim::lane`'s primitives — the same
+//! code the scheduled executors run, with the same `max(clock, depart)`
+//! joins. The result is byte-identical to the general executor
+//! (enforced by the `fastpath_identity` differential tests against
+//! `EventMachine::run_general`, which forces the general path).
 //!
 //! The fast path refuses to engage unless nothing can observe
-//! individual events:
-//!
-//! * `record_trace` must be off (traces list every send/recv);
-//! * no fault plan (fault injection is keyed on per-link sequence
-//!   numbers of real transfers);
-//! * no hierarchy (intra/inter pricing needs per-edge node tests —
-//!   cheap to add, but the general path is the reference until a
-//!   workload needs it);
-//! * every rank's program must claim the *same*
-//!   [`AnalyticOp`](crate::AnalyticOp) (data-mode programs claim none);
-//! * `PSSE_EVENT_NO_FASTPATH=1` is an operator override that forces
-//!   the general path process-wide.
+//! individual events — no trace, no fault plan, no hierarchy — and
+//! every rank's program claims the *same*
+//! [`AnalyticOp`](crate::AnalyticOp) (data-mode programs claim none).
+//! The guard in [`try_run`] names every `SimConfig` field, so a new
+//! field does not compile until it is classified there.
 
 use crate::program::{AnalyticOp, RankProgram};
+use psse_sim::lane::{charge_chunks, n_chunks, LinkPrice};
 use psse_sim::{Profile, RankStats, SimConfig};
 
-/// One rank's accounting lane: exactly the fields of `RankStats` the
-/// general path can touch on a trace-less, fault-less, flat run.
+/// One rank's compact accounting lane: exactly the fields of
+/// `RankStats` the general path can touch on a trace-less, fault-less,
+/// flat run (a full `RankStats` per rank would double the footprint at
+/// `p = 10⁶`).
 #[derive(Clone, Copy, Default)]
-struct Lane {
+struct CompactLane {
     time: f64,
     flops: u64,
     msgs_sent: u64,
@@ -43,62 +40,37 @@ struct Lane {
 /// The flat-machine prices the evaluators thread through every lane.
 #[derive(Clone, Copy)]
 struct Prices {
-    alpha: f64,
-    beta: f64,
+    link: LinkPrice,
     gamma: f64,
     m: usize,
-    /// `⌈words/m⌉` (an empty transfer is still one message) — constant
-    /// because every transfer of these collectives carries `words`.
+    /// `⌈words/m⌉` — constant because every transfer of these
+    /// collectives carries `words`.
     n_chunks: u64,
     words: usize,
 }
 
 impl Prices {
-    fn new(cfg: &SimConfig, words: usize) -> Self {
-        let m = cfg.max_message_words;
-        Prices {
-            alpha: cfg.alpha_t,
-            beta: cfg.beta_t,
-            gamma: cfg.gamma_t,
-            m,
-            n_chunks: if words == 0 {
-                1
-            } else {
-                words.div_ceil(m) as u64
-            },
-            words,
-        }
-    }
-
-    /// `RankCtx::price_send`'s chunk loop, verbatim; returns the depart
-    /// time (the sender's clock after the last chunk).
+    /// `Lane::price_send` on a flat machine; returns the depart time
+    /// (the sender's clock after the last chunk).
     #[inline]
-    fn send(&self, lane: &mut Lane) -> f64 {
-        let mut left = self.words;
-        loop {
-            let k = left.min(self.m);
-            lane.time += self.alpha + self.beta * k as f64;
-            lane.msgs_sent += 1;
-            lane.words_sent += k as u64;
-            if left <= self.m {
-                break;
-            }
-            left -= self.m;
-        }
+    fn send(&self, lane: &mut CompactLane) -> f64 {
+        lane.time = charge_chunks(lane.time, self.words, self.m, self.link);
+        lane.msgs_sent += self.n_chunks;
+        lane.words_sent += self.words as u64;
         lane.time
     }
 
-    /// `RankCtx::price_recv`, verbatim.
+    /// `Lane::price_recv`.
     #[inline]
-    fn recv(&self, lane: &mut Lane, depart: f64) {
+    fn recv(&self, lane: &mut CompactLane, depart: f64) {
         lane.time = lane.time.max(depart);
         lane.words_recvd += self.words as u64;
         lane.msgs_recvd += self.n_chunks;
     }
 
-    /// `RankCtx::compute`, verbatim.
+    /// `Lane::compute` of the `words`-flop merge.
     #[inline]
-    fn compute(&self, lane: &mut Lane) {
+    fn compute(&self, lane: &mut CompactLane) {
         lane.flops += self.words as u64;
         lane.time += self.gamma * self.words as f64;
     }
@@ -111,25 +83,49 @@ pub(crate) fn try_run<P: RankProgram>(
     cfg: &SimConfig,
     programs: &[P],
 ) -> Option<Profile> {
-    if cfg.record_trace || cfg.faults.is_some() || cfg.hierarchy.is_some() {
-        return None;
-    }
-    if std::env::var_os("PSSE_EVENT_NO_FASTPATH").is_some_and(|v| v == "1") {
+    let SimConfig {
+        // Observe individual events: the fast path refuses.
+        record_trace,
+        faults,
+        hierarchy,
+        // The prices the closed forms charge.
+        gamma_t,
+        beta_t,
+        alpha_t,
+        max_message_words,
+        // Host-only: how a run waits, is pooled and is cancelled.
+        // Counted programs never allocate, so the memory limit cannot
+        // fire either.
+        mem_limit_words: _,
+        recv_timeout: _,
+        backend: _,
+        pool_idle_floor: _,
+        pool_idle_max: _,
+        cancel: _,
+    } = cfg;
+    if *record_trace || faults.is_some() || hierarchy.is_some() {
         return None;
     }
     let op = programs.first()?.analytic()?;
     if programs.iter().any(|prog| prog.analytic() != Some(op)) {
         return None;
     }
+    let prices = |words: usize| Prices {
+        link: LinkPrice::flat(*alpha_t, *beta_t),
+        gamma: *gamma_t,
+        m: *max_message_words,
+        n_chunks: n_chunks(words, *max_message_words) as u64,
+        words,
+    };
     let lanes = match op {
-        AnalyticOp::BinomialAllreduce { words } => binomial(p, Prices::new(cfg, words)),
+        AnalyticOp::BinomialAllreduce { words } => binomial(p, prices(words)),
         AnalyticOp::RecursiveDoublingAllreduce { words } => {
             if !p.is_power_of_two() {
                 return None; // the program would have panicked in new()
             }
-            recursive_doubling(p, Prices::new(cfg, words))
+            recursive_doubling(p, prices(words))
         }
-        AnalyticOp::RingAllreduce { words } => ring(p, Prices::new(cfg, words)),
+        AnalyticOp::RingAllreduce { words } => ring(p, prices(words)),
     };
     let per_rank: Vec<RankStats> = lanes
         .into_iter()
@@ -156,8 +152,8 @@ pub(crate) fn try_run<P: RankProgram>(
 /// reduce action, so processing high ranks first has every depart time
 /// ready. Broadcast pass in *ascending* order: rank `v > 0` receives
 /// from parent `v − lowbit(v) < v`, then fans to children `> v`.
-fn binomial(p: usize, pr: Prices) -> Vec<Lane> {
-    let mut lanes = vec![Lane::default(); p];
+fn binomial(p: usize, pr: Prices) -> Vec<CompactLane> {
+    let mut lanes = vec![CompactLane::default(); p];
     // depart[c] = depart time of c's reduce send (each rank sends at
     // most once in the reduce tree).
     let mut depart = vec![0.0f64; p];
@@ -201,8 +197,8 @@ fn binomial(p: usize, pr: Prices) -> Vec<Lane> {
 /// partner, then receives and merges — so price each round in two
 /// sweeps (all sends, then all recv+computes), which is exactly each
 /// rank's own program order with every partner depart time ready.
-fn recursive_doubling(p: usize, pr: Prices) -> Vec<Lane> {
-    let mut lanes = vec![Lane::default(); p];
+fn recursive_doubling(p: usize, pr: Prices) -> Vec<CompactLane> {
+    let mut lanes = vec![CompactLane::default(); p];
     let mut depart = vec![0.0f64; p];
     let mut k = 0usize;
     while 1usize << k < p {
@@ -222,8 +218,8 @@ fn recursive_doubling(p: usize, pr: Prices) -> Vec<Lane> {
 /// the left neighbour as the depart source. `O(p)` rounds — at ring
 /// scale the general path is `O(p²)` scheduled events, so this is still
 /// the cheap side, but the tree collectives are the mega-scale tools.
-fn ring(p: usize, pr: Prices) -> Vec<Lane> {
-    let mut lanes = vec![Lane::default(); p];
+fn ring(p: usize, pr: Prices) -> Vec<CompactLane> {
+    let mut lanes = vec![CompactLane::default(); p];
     let mut depart = vec![0.0f64; p];
     for _round in 0..p.saturating_sub(1) {
         for (v, lane) in lanes.iter_mut().enumerate() {

@@ -10,8 +10,8 @@
 //! deterministic priority queue with `(time, rank, seq)` tie-breaking.
 //!
 //! The contract is bit-identity: the event executor prices every
-//! operation with the same floating-point arithmetic, in the same
-//! order, as `psse_sim::Rank` — Eq. 1 chunked sends, postal-model
+//! operation through the same `psse_sim::lane::Lane` that
+//! `psse_sim::Rank` wraps — Eq. 1 chunked sends, postal-model
 //! receives, fault injection with retries/backoff/checkpoints, trace
 //! recording. Profiles are pure functions of the message DAG, so both
 //! backends produce byte-identical profiles, traces, and fault
@@ -47,8 +47,8 @@
 //! nothing can observe individual events (no trace, no faults, no
 //! hierarchy, no data payloads) — same f64 operations, same order,
 //! byte-identical profiles, enforced by differential tests against
-//! [`EventMachine::run_general`]. Set `PSSE_EVENT_NO_FASTPATH=1` to
-//! force the general path process-wide. Engine health counters
+//! [`EventMachine::run_general`], which is also the way to force the
+//! general path. Engine health counters
 //! ([`ExecStats`]) ride on every outcome and aggregate process-wide
 //! for metrics export via [`export_health`].
 //!
@@ -75,7 +75,6 @@
 
 pub mod bridge;
 mod calq;
-mod ctx;
 pub mod exec;
 mod fastpath;
 mod health;

@@ -4,8 +4,11 @@
 
 use psse_event::prelude::*;
 use psse_faults::{CheckpointPolicy, CrashEvent, FaultPlan, FaultSpec, RecoveryPolicy};
+use psse_sim::lane::{charge_chunks, link_price, LinkPrice};
 use psse_sim::machine::Hierarchy;
+use psse_sim::record::EventKind;
 use psse_sim::{Machine, SimError};
+use psse_trace::Trace;
 
 fn cfg(backend: Backend) -> SimConfig {
     SimConfig {
@@ -185,6 +188,71 @@ fn backends_bit_identical_with_hierarchy() {
     .unwrap();
     assert_eq!(a.profile, b.profile);
     assert!(a.profile.total_words_intra() > 0);
+}
+
+/// Faults meet hierarchy: retries and duplicates are charged at the
+/// intra-node prices on intra-node links, checkpoint writes at the
+/// machine-level prices. A traced, multi-chunk, faulted run on a
+/// two-level machine is byte-identical across backends, and its trace
+/// replays to the live profile.
+#[test]
+fn backends_bit_identical_under_faults_with_hierarchy() {
+    let hier = Some(Hierarchy {
+        cores_per_node: 4,
+        intra_alpha_t: 1e-5,
+        intra_beta_t: 1e-8,
+    });
+    let mk = |backend| SimConfig {
+        faults: Some(busy_plan()),
+        hierarchy: hier.clone(),
+        ..cfg(backend)
+    };
+    let (mut intra_retries, mut checkpoints) = (0, 0);
+    // 200 words: six chunks at m = 37, enough traffic to cross a
+    // checkpoint boundary.
+    let data: Vec<f64> = (0..200).map(|i| i as f64).collect();
+    for p in [5, 12, 24] {
+        let a = run_programs(
+            p,
+            &mk(Backend::Threads),
+            BinomialAllreduce::with_data(Tag(3), data.clone()),
+        )
+        .unwrap();
+        let b = run_programs(
+            p,
+            &mk(Backend::Events),
+            BinomialAllreduce::with_data(Tag(3), data.clone()),
+        )
+        .unwrap();
+        assert_eq!(a.profile, b.profile, "p={p}");
+        let trace = Trace::from_run(&mk(Backend::Events), &b.profile).unwrap();
+        trace.check_consistency(&b.profile).unwrap();
+        for (r, events) in b.profile.events.iter().enumerate() {
+            for e in events {
+                let (charged, backoff) = match e.kind {
+                    EventKind::Retry {
+                        dest,
+                        words,
+                        backoff,
+                        ..
+                    } => {
+                        let link = link_price(hier.as_ref(), 1e-3, 1e-6, r, dest);
+                        intra_retries += usize::from(link.intra);
+                        (charge_chunks(e.t_start, words, 37, link), backoff)
+                    }
+                    EventKind::Checkpoint { words } => {
+                        checkpoints += 1;
+                        let machine = LinkPrice::flat(1e-3, 1e-6);
+                        (charge_chunks(e.t_start, words as usize, 37, machine), 0.0)
+                    }
+                    _ => continue,
+                };
+                assert_eq!(e.t_end, charged + backoff, "p={p} rank {r}: {e:?}");
+            }
+        }
+    }
+    assert!(intra_retries > 0, "plan must fire on intra-node links");
+    assert!(checkpoints > 0, "plan must write checkpoints");
 }
 
 /// The counted 2.5D matmul skeleton matches across backends (the

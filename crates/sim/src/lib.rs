@@ -88,6 +88,7 @@
 pub mod collectives;
 pub mod error;
 pub mod grid;
+pub mod lane;
 pub mod machine;
 mod mailbox;
 pub mod message;
@@ -99,6 +100,7 @@ mod registry;
 pub mod seqmem;
 
 pub use error::SimError;
+pub use lane::Lane;
 pub use machine::{Backend, CancelFlag, Machine, SimConfig, SimOutcome};
 pub use message::{SharedPayload, Tag};
 pub use profile::{Profile, RankStats};

@@ -104,7 +104,7 @@ impl CancelFlag {
 /// nodes of `cores_per_node` consecutive ids; messages between ranks of
 /// the same node use the (cheaper) intra-node link prices instead of the
 /// machine-level `beta_t`/`alpha_t`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hierarchy {
     /// Ranks per node (`pl`); rank `r` lives on node `r / cores_per_node`.
     pub cores_per_node: usize,
@@ -112,6 +112,14 @@ pub struct Hierarchy {
     pub intra_beta_t: f64,
     /// `αlt` — virtual seconds per message on intra-node links.
     pub intra_alpha_t: f64,
+}
+
+impl Hierarchy {
+    /// Whether ranks `a` and `b` live on the same node.
+    #[inline]
+    pub fn same_node(&self, a: usize, b: usize) -> bool {
+        a / self.cores_per_node == b / self.cores_per_node
+    }
 }
 
 /// Cost-model and safety configuration of a simulated machine. Time

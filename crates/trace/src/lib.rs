@@ -65,11 +65,11 @@ pub mod trace;
 
 pub use critical::{CriticalPathReport, PathSegment, RankBreakdown};
 pub use error::{TraceError, TraceResult};
-pub use trace::{ReplayHierarchy, ReplayParams, Trace};
+pub use trace::{ReplayParams, Trace};
 
 /// One-stop imports.
 pub mod prelude {
     pub use crate::critical::{CriticalPathReport, PathSegment, RankBreakdown};
     pub use crate::error::{TraceError, TraceResult};
-    pub use crate::trace::{ReplayHierarchy, ReplayParams, Trace};
+    pub use crate::trace::{ReplayParams, Trace};
 }

@@ -1,13 +1,15 @@
 //! The replay scheduler: re-executes a recorded event DAG under
 //! arbitrary machine parameters.
 //!
-//! Replay repeats, per event, exactly the floating-point operations the
-//! live simulator performs — `time += γt·f` for a compute, one
-//! `time += α + β·k` per message chunk for a send (chunk sizes re-derived
-//! from the replay `m`), `time = max(time, sender_completion)` for a
-//! receive. Under the trace's own recorded parameters this makes replay
-//! **bit-identical** to the live run; under different parameters it
-//! yields the profile the simulator would have produced on that machine.
+//! Replay charges every event through `psse_sim::lane`, the pricing
+//! core the live executors run: a compute, a send (chunk sizes
+//! re-derived from the replay `m`), a receive's `max(time,
+//! sender_completion)` join, and the fault layer's retries and
+//! checkpoint writes each go through the same [`Meter`] method the live
+//! run used. Under the trace's own recorded parameters this makes
+//! replay **bit-identical** to the live run; under different parameters
+//! it yields the profile the simulator would have produced on that
+//! machine.
 //!
 //! Message matching is FIFO per `(src, dst, tag)` triple: the `k`-th
 //! receive on `dst` for `(src, tag)` matches the `k`-th send on `src`
@@ -17,6 +19,7 @@
 
 use crate::error::{TraceError, TraceResult};
 use crate::trace::ReplayParams;
+use psse_sim::lane::{link_price, n_chunks, LinkPrice, Meter};
 use psse_sim::profile::RankStats;
 use psse_sim::record::{EventKind, TimedEvent};
 use std::collections::{HashMap, VecDeque};
@@ -36,19 +39,14 @@ pub(crate) struct Schedule {
     /// Per rank, per event: for a `Recv`, the `(sender_rank, event_idx)`
     /// of the matched `Send`; `None` for every other kind.
     pub matched: MatchTable,
-    /// Re-derived per-rank counters (without `finish_time`).
-    stats: Vec<RankStats>,
-    /// Final replay clock per rank.
-    finish: Vec<f64>,
+    /// Re-derived per-rank counters and final replay clocks.
+    meters: Vec<Meter>,
 }
 
 impl Schedule {
     /// Consume the schedule into per-rank counters with finish times.
-    pub fn into_stats(mut self) -> Vec<RankStats> {
-        for (s, t) in self.stats.iter_mut().zip(&self.finish) {
-            s.finish_time = *t;
-        }
-        self.stats
+    pub fn into_stats(self) -> Vec<RankStats> {
+        self.meters.into_iter().map(Meter::finish).collect()
     }
 }
 
@@ -98,14 +96,6 @@ pub(crate) fn resolve_matches(events: &[Vec<TimedEvent>]) -> TraceResult<MatchTa
     Ok(matched)
 }
 
-/// Whether ranks `a` and `b` share a node under the replay hierarchy.
-fn same_node(params: &ReplayParams, a: usize, b: usize) -> bool {
-    match &params.hierarchy {
-        Some(h) => a / h.cores_per_node == b / h.cores_per_node,
-        None => false,
-    }
-}
-
 /// Replay `events` under `params`. Events execute in per-rank program
 /// order; a receive becomes executable once its matched send has
 /// executed. The fixpoint loop sweeps ranks, advancing each as far as
@@ -125,11 +115,20 @@ pub(crate) fn schedule(
     let matched = resolve_matches(events)?;
     let mut starts: Vec<Vec<f64>> = events.iter().map(|evs| vec![0.0; evs.len()]).collect();
     let mut ends: Vec<Vec<f64>> = events.iter().map(|evs| vec![0.0; evs.len()]).collect();
-    let mut stats = vec![RankStats::default(); p];
-    let mut time = vec![0.0_f64; p];
+    let mut meters = vec![Meter::default(); p];
     let mut cursor = vec![0_usize; p];
     let total: usize = events.iter().map(|evs| evs.len()).sum();
     let mut done = 0_usize;
+    let m = params.max_message_words;
+    let link = |src: usize, dest: usize| {
+        link_price(
+            params.hierarchy.as_ref(),
+            params.alpha_t,
+            params.beta_t,
+            src,
+            dest,
+        )
+    };
 
     while done < total {
         let mut progressed = false;
@@ -145,126 +144,53 @@ pub(crate) fn schedule(
                         break;
                     }
                 }
-                starts[r][i] = time[r];
+                let meter = &mut meters[r];
+                starts[r][i] = meter.time;
                 match &events[r][i].kind {
-                    EventKind::Compute { flops } => {
-                        stats[r].flops += flops;
-                        time[r] += params.gamma_t * *flops as f64;
+                    EventKind::Compute { flops } => meter.compute(params.gamma_t, *flops),
+                    // Self-sends cross no link: free and uncounted,
+                    // exactly as in the live simulator.
+                    EventKind::Send { dest, words, .. } if *dest != r => {
+                        meter.send(*words, m, link(r, *dest));
                     }
-                    EventKind::Send { dest, words, .. } => {
-                        // Self-sends cross no link: free and uncounted,
-                        // exactly as in the live simulator.
-                        if *dest != r {
-                            let intra = same_node(params, r, *dest);
-                            let (alpha, beta) = match (&params.hierarchy, intra) {
-                                (Some(h), true) => (h.intra_alpha_t, h.intra_beta_t),
-                                _ => (params.alpha_t, params.beta_t),
-                            };
-                            let m = params.max_message_words;
-                            let n_chunks = if *words == 0 { 1 } else { words.div_ceil(m) };
-                            for c in 0..n_chunks {
-                                let k = if *words == 0 {
-                                    0
-                                } else if c + 1 < n_chunks {
-                                    m
-                                } else {
-                                    words - m * (n_chunks - 1)
-                                };
-                                time[r] += alpha + beta * k as f64;
-                                stats[r].msgs_sent += 1;
-                                stats[r].words_sent += k as u64;
-                                if intra {
-                                    stats[r].msgs_sent_intra += 1;
-                                    stats[r].words_sent_intra += k as u64;
-                                }
-                            }
-                        }
-                    }
+                    EventKind::Send { .. } => {}
                     EventKind::Recv { src, words, .. } => {
-                        let (s, j) = matched[r][i].expect("resolved above");
                         // All chunks depart by the sender's completion
-                        // of the whole transfer, so the receiver's
-                        // clock is max(local, sender completion).
-                        time[r] = time[r].max(ends[s][j]);
-                        if *src != r {
-                            stats[r].words_recvd += *words as u64;
-                            let m = params.max_message_words;
-                            let needed = if *words == 0 { 1 } else { words.div_ceil(m) };
-                            stats[r].msgs_recvd += needed as u64;
-                        }
+                        // of the whole transfer; the message count is
+                        // re-derived from the replay `m`.
+                        let (s, j) = matched[r][i].expect("resolved above");
+                        meter.recv(ends[s][j], *words, n_chunks(*words, m), *src != r);
                     }
-                    EventKind::Alloc { words } => {
-                        stats[r].mem_current += words;
-                        stats[r].mem_peak = stats[r].mem_peak.max(stats[r].mem_current);
-                    }
+                    EventKind::Alloc { words } => meter.alloc(*words),
                     EventKind::Free { words } => {
-                        if *words > stats[r].mem_current {
+                        if !meter.free(*words) {
                             return Err(TraceError::Corrupt(format!(
                                 "rank {r} frees {words} words with only {} tracked",
-                                stats[r].mem_current
+                                meter.stats.mem_current
                             )));
                         }
-                        stats[r].mem_current -= words;
                     }
                     EventKind::CollBegin { .. } | EventKind::CollEnd { .. } => {}
-                    // Fault-layer events. The chunk loops mirror the
-                    // live simulator's charging order exactly so replay
-                    // under the recorded parameters stays bit-identical.
+                    // Fault-layer events re-price their link traffic
+                    // under `params`; the backoff, the delay, the rework
+                    // and the restart are recovery-policy constants and
+                    // execution history, added verbatim.
                     EventKind::Retry {
                         dest,
                         words,
                         backoff,
                         ..
-                    } => {
-                        let intra = same_node(params, r, *dest);
-                        let (alpha, beta) = match (&params.hierarchy, intra) {
-                            (Some(h), true) => (h.intra_alpha_t, h.intra_beta_t),
-                            _ => (params.alpha_t, params.beta_t),
-                        };
-                        let m = params.max_message_words;
-                        let mut left = *words;
-                        loop {
-                            let k = left.min(m);
-                            time[r] += alpha + beta * k as f64;
-                            stats[r].retrans_msgs += 1;
-                            stats[r].retrans_words += k as u64;
-                            if left <= m {
-                                break;
-                            }
-                            left -= m;
-                        }
-                        // The backoff is a recovery-policy constant, not
-                        // a machine price: added verbatim.
-                        time[r] += backoff;
-                        stats[r].retries += 1;
-                    }
-                    EventKind::LinkDelay { seconds } => {
-                        time[r] += seconds;
-                    }
+                    } => meter.charge_wasted_transfer(*words, m, link(r, *dest), *backoff),
+                    EventKind::LinkDelay { seconds } => meter.time += seconds,
                     EventKind::Checkpoint { words } => {
                         // Stable-storage writes are priced at the
                         // machine-level (inter-node) link prices.
-                        let m = params.max_message_words as u64;
-                        let mut left = *words;
-                        loop {
-                            let k = left.min(m);
-                            time[r] += params.alpha_t + params.beta_t * k as f64;
-                            stats[r].checkpoint_msgs += 1;
-                            stats[r].checkpoint_words += k;
-                            if left <= m {
-                                break;
-                            }
-                            left -= m;
-                        }
+                        let machine = LinkPrice::flat(params.alpha_t, params.beta_t);
+                        meter.charge_checkpoint_write(*words, m, machine);
                     }
-                    EventKind::CrashRecovery { lost, restart } => {
-                        // Rework and restart are execution history, not
-                        // re-priceable quantities: added verbatim.
-                        time[r] += lost + restart;
-                        stats[r].crashes_recovered += 1;
-                    }
+                    EventKind::CrashRecovery { lost, restart } => meter.recover(*lost, *restart),
                 }
-                ends[r][i] = time[r];
+                ends[r][i] = meter.time;
                 cursor[r] += 1;
                 done += 1;
                 progressed = true;
@@ -279,8 +205,7 @@ pub(crate) fn schedule(
         starts,
         ends,
         matched,
-        stats,
-        finish: time,
+        meters,
     })
 }
 

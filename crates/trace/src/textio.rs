@@ -25,7 +25,8 @@
 //! (checkpoint write), `X t0 t1 lost restart` (crash recovery).
 
 use crate::error::{TraceError, TraceResult};
-use crate::trace::{ReplayHierarchy, ReplayParams, Trace};
+use crate::trace::{ReplayParams, Trace};
+use psse_sim::machine::Hierarchy;
 use psse_sim::record::{EventKind, TimedEvent};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -172,7 +173,7 @@ impl Trace {
                             msg: "hier takes 3 fields".into(),
                         });
                     }
-                    params.hierarchy = Some(ReplayHierarchy {
+                    params.hierarchy = Some(Hierarchy {
                         cores_per_node: parse_tok(ln, rest[0])?,
                         intra_beta_t: parse_tok(ln, rest[1])?,
                         intra_alpha_t: parse_tok(ln, rest[2])?,

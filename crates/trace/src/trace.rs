@@ -4,21 +4,9 @@ use crate::error::{TraceError, TraceResult};
 use psse_core::params::MachineParams;
 use psse_core::summary::{ExecutionSummary, Measured};
 use psse_core::twolevel::TwoLevelParams;
-use psse_sim::machine::SimConfig;
+use psse_sim::machine::{Hierarchy, SimConfig};
 use psse_sim::profile::Profile;
 use psse_sim::record::TimedEvent;
-
-/// Intra-node link prices for replaying on a two-level machine
-/// (mirrors `psse_sim::machine::Hierarchy`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayHierarchy {
-    /// Ranks per node; rank `r` lives on node `r / cores_per_node`.
-    pub cores_per_node: usize,
-    /// `βlt` — seconds per word on intra-node links.
-    pub intra_beta_t: f64,
-    /// `αlt` — seconds per message on intra-node links.
-    pub intra_alpha_t: f64,
-}
 
 /// The machine-time parameters a trace is replayed under: the Eq. 1
 /// prices plus the maximum message size (which controls how transfers
@@ -34,7 +22,7 @@ pub struct ReplayParams {
     /// `m` — maximum words per message.
     pub max_message_words: usize,
     /// Optional two-level hierarchy; `None` = flat machine.
-    pub hierarchy: Option<ReplayHierarchy>,
+    pub hierarchy: Option<Hierarchy>,
 }
 
 impl ReplayParams {
@@ -73,11 +61,7 @@ impl From<&SimConfig> for ReplayParams {
             beta_t: cfg.beta_t,
             alpha_t: cfg.alpha_t,
             max_message_words: cfg.max_message_words,
-            hierarchy: cfg.hierarchy.as_ref().map(|h| ReplayHierarchy {
-                cores_per_node: h.cores_per_node,
-                intra_beta_t: h.intra_beta_t,
-                intra_alpha_t: h.intra_alpha_t,
-            }),
+            hierarchy: cfg.hierarchy.clone(),
         }
     }
 }
@@ -110,7 +94,7 @@ impl From<&TwoLevelParams> for ReplayParams {
             beta_t: tl.beta_n_t,
             alpha_t: 0.0,
             max_message_words: SimConfig::default().max_message_words,
-            hierarchy: Some(ReplayHierarchy {
+            hierarchy: Some(Hierarchy {
                 cores_per_node: tl.cores_per_node as usize,
                 intra_beta_t: tl.beta_l_t,
                 intra_alpha_t: 0.0,
