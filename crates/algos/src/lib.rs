@@ -18,6 +18,9 @@
 //! | distributed sample sort | [`samplesort`] | regular sampling + pairwise all-to-all (Scquizzato–Silvestri bound family) |
 //! | iterated halo stencil | [`stencil`] | periodic box stencil, 1-D/2-D blocks, configurable halo width |
 //!
+//! [`catalog`] names them: one row per algorithm pairs its
+//! `psse-core` cost model with its executor and serial check.
+//!
 //! Every entry point takes global inputs, distributes them logically
 //! (initial layout is free, matching the paper's cost models, which
 //! assume data already resides in place), runs the ranks, gathers and
@@ -38,6 +41,7 @@
 pub mod abft;
 pub mod bridge;
 pub mod cannon;
+pub mod catalog;
 pub mod cholesky2d;
 pub mod fft;
 pub mod lu2d;

@@ -52,6 +52,23 @@ pub fn nbody_ring(
     nbody_replicated(particles, p, 1, cfg)
 }
 
+/// Validate a `pr × c` layout over `n` particles: `c | pr`, `pr | n`.
+fn check_layout(n: usize, pr: usize, c: usize) -> Result<(), SimError> {
+    let bad = |msg: String| Err(SimError::Algorithm(format!("nbody: {msg}")));
+    if pr == 0 || c == 0 {
+        return bad("pr and c must be positive".into());
+    }
+    if c > 1 && !pr.is_multiple_of(c) {
+        return bad(format!(
+            "replication factor c = {c} must divide the ring size pr = {pr}"
+        ));
+    }
+    if !n.is_multiple_of(pr) || n == 0 {
+        return bad(format!("ring size pr = {pr} must divide n = {n}"));
+    }
+    Ok(())
+}
+
 /// Compute the accelerations with the data-replicating algorithm on a
 /// `pr × c` grid (`p = pr·c` ranks, `c | pr`, `pr | n`).
 ///
@@ -65,21 +82,7 @@ pub fn nbody_replicated(
     cfg: SimConfig,
 ) -> Result<(Vec<[f64; 3]>, Profile), SimError> {
     let n = particles.len();
-    if pr == 0 || c == 0 {
-        return Err(SimError::Algorithm(
-            "nbody: pr and c must be positive".into(),
-        ));
-    }
-    if c > 1 && !pr.is_multiple_of(c) {
-        return Err(SimError::Algorithm(format!(
-            "nbody: replication factor c = {c} must divide the ring size pr = {pr}"
-        )));
-    }
-    if !n.is_multiple_of(pr) || n == 0 {
-        return Err(SimError::Algorithm(format!(
-            "nbody: ring size pr = {pr} must divide n = {n}"
-        )));
-    }
+    check_layout(n, pr, c)?;
     let p = pr * c;
     let bs = n / pr; // particles per block
     let steps = pr / c;
@@ -157,21 +160,7 @@ pub fn nbody_simulate(
     cfg: SimConfig,
 ) -> Result<(Vec<Particle>, Profile), SimError> {
     let n = particles.len();
-    if pr == 0 || c == 0 {
-        return Err(SimError::Algorithm(
-            "nbody: pr and c must be positive".into(),
-        ));
-    }
-    if c > 1 && !pr.is_multiple_of(c) {
-        return Err(SimError::Algorithm(format!(
-            "nbody: replication factor c = {c} must divide the ring size pr = {pr}"
-        )));
-    }
-    if !n.is_multiple_of(pr) || n == 0 {
-        return Err(SimError::Algorithm(format!(
-            "nbody: ring size pr = {pr} must divide n = {n}"
-        )));
-    }
+    check_layout(n, pr, c)?;
     let p = pr * c;
     let bs = n / pr;
     let steps = pr / c;

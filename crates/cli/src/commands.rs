@@ -1,57 +1,39 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
-use psse_algos::prelude::*;
-use psse_core::costs::{
-    Algorithm, ClassicalMatMul, DirectNBody, FftTree, HaloStencilModel, Lu25d, MatVec,
-    SampleSortModel, StrassenMatMul,
-};
+use psse_algos::catalog::{self, Shape};
+use psse_algos::prelude::{measure, sim_config_from};
+use psse_core::bounds::ScalingRange;
 use psse_core::machines::{jaketown, table2};
 use psse_core::optimize::nbody::NBodyOptimizer;
 use psse_core::optimize::numeric::argmin_energy_memory;
 use psse_core::params::MachineParams;
 use psse_core::tech_scaling::{fig6_series, multiplier_for_target, CaseStudy};
 use psse_hbl::prelude::{derive, Derived, Family, Kernel, KernelCost};
-use psse_kernels::fft::fft as kernel_fft;
-use psse_kernels::matrix::Matrix;
-use psse_kernels::nbody::{accumulate_forces, random_particles};
-use psse_kernels::rng::XorShift64;
 use psse_lab::prelude::{
     detect_scaling_range, fsck_dir, gc_dir, pareto_csv, spec_digest, sweep_csv, GcConfig, Journal,
     Lab, LabConfig, RunKey, SweepSpec,
 };
-use psse_sim::profile::Profile;
 use psse_trace::Trace;
 use std::fmt::Write as _;
 
 type CmdResult = Result<(), String>;
 
-/// `--machine` plus its per-parameter override keys, shared by every
-/// command that prices runs.
-const MACHINE_KEYS: [&str; 11] = [
-    "machine",
-    "gamma-t",
-    "beta-t",
-    "alpha-t",
-    "gamma-e",
-    "beta-e",
-    "alpha-e",
-    "delta-e",
-    "epsilon-e",
-    "max-message",
-    "mem-words",
-];
-
-/// Keys consumed by [`run_algorithm`] (shared by `simulate` and
-/// `trace record`).
+/// Run keys shared by `simulate` and `trace record`: `--alg`,
+/// `--backend` and the [`shape_from`] options.
 const RUN_KEYS: [&str; 10] = [
     "alg", "n", "p", "c", "seed", "panel", "cols", "backend", "halo", "iters",
 ];
 
-/// Build the allowed-key list for [`crate::args::Args::expect_keys`]
-/// from slices of shared and command-specific keys.
-fn allowed(groups: &[&[&'static str]]) -> Vec<&'static str> {
-    groups.iter().flat_map(|g| g.iter().copied()).collect()
+/// The allowed-key list for [`crate::args::Args::expect_keys`] of a
+/// command that prices runs: `--machine`, its per-parameter overrides,
+/// then `keys`.
+fn allowed(keys: &[&'static str]) -> Vec<&'static str> {
+    let machine = MachineParams::OVERRIDES.iter().map(|(key, _)| *key);
+    std::iter::once("machine")
+        .chain(machine)
+        .chain(keys.iter().copied())
+        .collect()
 }
 
 fn fmt(x: f64) -> String {
@@ -67,37 +49,13 @@ fn fmt(x: f64) -> String {
 /// Resolve `--machine` plus per-parameter overrides into machine params.
 fn machine_from(args: &Args) -> Result<(MachineParams, String), String> {
     let name = args.str_or("machine", "jaketown").to_string();
-    let base = match name.as_str() {
+    let mut mp = match name.as_str() {
         "jaketown" => jaketown(),
         other => return Err(format!("unknown machine `{other}` (available: jaketown)")),
     };
-    let mut mp = base;
-    for (key, field) in [
-        ("gamma-t", 0usize),
-        ("beta-t", 1),
-        ("alpha-t", 2),
-        ("gamma-e", 3),
-        ("beta-e", 4),
-        ("alpha-e", 5),
-        ("delta-e", 6),
-        ("epsilon-e", 7),
-        ("max-message", 8),
-        ("mem-words", 9),
-    ] {
+    for (key, field) in MachineParams::OVERRIDES {
         if args.has(key) {
-            let v = args.req_f64(key)?;
-            match field {
-                0 => mp.gamma_t = v,
-                1 => mp.beta_t = v,
-                2 => mp.alpha_t = v,
-                3 => mp.gamma_e = v,
-                4 => mp.beta_e = v,
-                5 => mp.alpha_e = v,
-                6 => mp.delta_e = v,
-                7 => mp.epsilon_e = v,
-                8 => mp.max_message_words = v,
-                _ => mp.mem_words = v,
-            }
+            *field(&mut mp) = args.req_f64(key)?;
         }
     }
     mp.validate().map_err(|e| e.to_string())?;
@@ -109,28 +67,22 @@ fn backend_from(args: &Args) -> Result<psse_sim::Backend, String> {
     args.str_or("backend", "threads").parse()
 }
 
-fn algorithm_from(args: &Args) -> Result<Box<dyn Algorithm>, String> {
-    let f = args.f64_or("f", 20.0)?;
-    Ok(match args.req("alg")? {
-        "matmul" => Box::new(ClassicalMatMul),
-        "strassen" => Box::new(StrassenMatMul::default()),
-        "nbody" => Box::new(DirectNBody {
-            flops_per_interaction: f,
-        }),
-        "fft" => Box::new(FftTree),
-        "lu" => Box::new(Lu25d),
-        "matvec" => Box::new(MatVec),
-        "samplesort" => Box::new(SampleSortModel),
-        "stencil" => Box::new(HaloStencilModel {
-            halo: args.u64_or("halo", 1)?,
-            iters: args.u64_or("iters", 4)?,
-        }),
-        other => {
-            return Err(format!(
-                "unknown algorithm `{other}` \
-                 (matmul|strassen|nbody|fft|lu|matvec|samplesort|stencil)"
-            ))
-        }
+/// The catalog [`Shape`] named by `--n` and the optional `--p` (4),
+/// `--c`, `--f`, `--halo`, `--iters`, `--seed`, `--panel` and `--cols`.
+fn shape_from(args: &Args) -> Result<Shape, String> {
+    let d = Shape::new(args.req_u64("n")?, args.u64_or("p", 4)?);
+    Ok(Shape {
+        c: args.u64_or("c", d.c)?,
+        f: args.f64_or("f", d.f)?,
+        halo: args.u64_or("halo", d.halo)?,
+        iters: args.u64_or("iters", d.iters)?,
+        seed: args.u64_or("seed", d.seed)?,
+        panel: match args.get("panel") {
+            Some(_) => Some(args.req_u64("panel")?),
+            None => None,
+        },
+        cols: args.u64_or("cols", d.cols)?,
+        ..d
     })
 }
 
@@ -168,12 +120,9 @@ pub fn machines(args: &Args, out: &mut String) -> CmdResult {
 }
 
 pub fn model(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[
-        &MACHINE_KEYS,
-        &["alg", "n", "p", "mem", "f", "halo", "iters"],
-    ]))?;
+    args.expect_keys(&allowed(&["alg", "n", "p", "mem", "f", "halo", "iters"]))?;
     let (mp, mname) = machine_from(args)?;
-    let alg = algorithm_from(args)?;
+    let alg = catalog::model(args.req("alg")?, &shape_from(args)?)?;
     let n = args.req_u64("n")?;
     let p = args.req_u64("p")?;
     let mem = match args.get("mem") {
@@ -181,8 +130,10 @@ pub fn model(args: &Args, out: &mut String) -> CmdResult {
         None => alg.min_memory(n, p),
     };
     let costs = alg.costs(n, p, mem, &mp).map_err(|e| e.to_string())?;
-    let t = mp.time(&costs);
-    let e = mp.energy(p, &costs, mem, t);
+    let point = alg
+        .evaluate_point(&mp, n, p, mem)
+        .map_err(|e| e.to_string())?;
+    let (t, e) = (point.time, point.energy);
     let _ = writeln!(out, "algorithm : {}", alg.name());
     let _ = writeln!(out, "machine   : {mname}");
     let _ = writeln!(out, "n = {n}, p = {p}, M = {} words/processor", fmt(mem));
@@ -206,13 +157,20 @@ pub fn model(args: &Args, out: &mut String) -> CmdResult {
 
 pub fn scaling(args: &Args, out: &mut String) -> CmdResult {
     args.expect_keys(&["alg", "n", "mem", "f", "halo", "iters"])?;
-    let alg = algorithm_from(args)?;
+    let alg = catalog::model(args.req("alg")?, &shape_from(args)?)?;
     let n = args.req_u64("n")?;
     let mem = args.req_f64("mem")?;
-    match alg.strong_scaling_range(n, mem) {
+    let _ = writeln!(out, "algorithm : {}", alg.name());
+    range_report(alg.name(), n, mem, alg.strong_scaling_range(n, mem), out);
+    Ok(())
+}
+
+/// The fixed-memory perfect strong scaling range `[p_min, p_max]`, or
+/// the reason there is none; shared by `scaling` and `bound range`.
+fn range_report(name: &str, n: u64, mem: f64, range: Option<ScalingRange>, out: &mut String) {
+    let _ = writeln!(out, "n = {n}, M = {} words/processor (fixed)", fmt(mem));
+    match range {
         Some(r) => {
-            let _ = writeln!(out, "algorithm : {}", alg.name());
-            let _ = writeln!(out, "n = {n}, M = {} words/processor (fixed)", fmt(mem));
             let _ = writeln!(out, "p_min = {}  (one copy of the data)", fmt(r.p_min));
             let _ = writeln!(out, "p_max = {}  (replication saturates)", fmt(r.p_max));
             let _ = writeln!(
@@ -225,18 +183,37 @@ pub fn scaling(args: &Args, out: &mut String) -> CmdResult {
         None => {
             let _ = writeln!(
                 out,
-                "{}: no perfect strong scaling range exists (see paper §IV).",
-                alg.name()
+                "{name}: no perfect strong scaling range exists (see paper §IV)."
             );
         }
     }
-    Ok(())
+}
+
+/// The §V.A energy optimum: `M0`, `E*` and the processors that attain
+/// it; shared by `optimize` and `bound price`.
+fn optimum_report(m0: f64, e_star: f64, (p_lo, p_hi): (f64, f64), out: &mut String) {
+    let _ = writeln!(
+        out,
+        "M0 = {} words/processor (energy-optimal, any p)",
+        fmt(m0)
+    );
+    let _ = writeln!(
+        out,
+        "E* = {} J, attainable for p in [{}, {}]",
+        fmt(e_star),
+        fmt(p_lo),
+        fmt(p_hi)
+    );
 }
 
 pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
     args.expect_keys(&allowed(&[
-        &MACHINE_KEYS,
-        &["n", "f", "tmax", "emax", "power-total", "power-proc"],
+        "n",
+        "f",
+        "tmax",
+        "emax",
+        "power-total",
+        "power-proc",
     ]))?;
     let (mp, mname) = machine_from(args)?;
     let n = args.req_u64("n")?;
@@ -245,19 +222,8 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
     let _ = writeln!(out, "n-body optimization on `{mname}` (n = {n}, f = {f})");
     match (opt.m0(), opt.e_star(n)) {
         (Ok(m0), Ok(e_star)) => {
-            let (p_lo, p_hi) = opt.m0_processor_range(n).map_err(|e| e.to_string())?;
-            let _ = writeln!(
-                out,
-                "M0 = {} words/processor (energy-optimal, any p)",
-                fmt(m0)
-            );
-            let _ = writeln!(
-                out,
-                "E* = {} J, attainable for p in [{}, {}]",
-                fmt(e_star),
-                fmt(p_lo),
-                fmt(p_hi)
-            );
+            let range = opt.m0_processor_range(n).map_err(|e| e.to_string())?;
+            optimum_report(m0, e_star, range, out);
         }
         (Err(e), _) | (_, Err(e)) => {
             let _ = writeln!(out, "no interior optimum: {e}");
@@ -329,165 +295,15 @@ pub fn optimize(args: &Args, out: &mut String) -> CmdResult {
     Ok(())
 }
 
-/// Run the algorithm selected by `--alg` on the virtual machine under
-/// `cfg`, returning its profile and whether the numerics matched the
-/// sequential reference. Shared by `simulate` and `trace record`.
-fn run_algorithm(
-    args: &Args,
-    cfg: psse_sim::machine::SimConfig,
-) -> Result<(Profile, bool), String> {
-    let n = args.req_u64("n")? as usize;
-    let p = args.u64_or("p", 4)? as usize;
-    let c = args.u64_or("c", 1)? as usize;
-    let seed = args.u64_or("seed", 42)?;
-    let alg = args.req("alg")?;
-
-    let (profile, verified) = match alg {
-        "cannon" | "summa" | "mm25d" | "mm3d" | "strassen" => {
-            let a = Matrix::random(n, n, seed);
-            let b = Matrix::random(n, n, seed + 1);
-            let reference = psse_kernels::gemm::matmul(&a, &b);
-            let (cm, profile) = match alg {
-                "cannon" => cannon_matmul(&a, &b, p, cfg).map_err(|e| e.to_string())?,
-                "summa" => {
-                    let panel = args
-                        .u64_or("panel", (n / (p as f64).sqrt() as usize).max(1) as u64)?
-                        as usize;
-                    summa_matmul(&a, &b, p, panel, cfg).map_err(|e| e.to_string())?
-                }
-                "mm25d" => matmul_25d(&a, &b, p, c, cfg).map_err(|e| e.to_string())?,
-                "mm3d" => matmul_3d(&a, &b, p, cfg).map_err(|e| e.to_string())?,
-                _ => strassen_distributed(&a, &b, p, cfg).map_err(|e| e.to_string())?,
-            };
-            (profile, cm.max_abs_diff(&reference) < 1e-8)
-        }
-        "cholesky" => {
-            let b = Matrix::random(n, n, seed);
-            let mut a = psse_kernels::gemm::matmul(&b.transpose(), &b);
-            for i in 0..n {
-                a[(i, i)] += n as f64;
-            }
-            let (l, profile) =
-                psse_algos::cholesky2d::cholesky_2d(&a, p, cfg).map_err(|e| e.to_string())?;
-            let recon = psse_kernels::gemm::matmul(&l, &l.transpose());
-            (profile, recon.relative_error(&a) < 1e-8)
-        }
-        "lu" | "solve" => {
-            let a = Matrix::random_diagonally_dominant(n, seed);
-            if alg == "lu" {
-                let (packed, profile) = lu_2d(&a, p, cfg).map_err(|e| e.to_string())?;
-                let (l, u) = psse_kernels::lu::split_lu(&packed);
-                let ok = psse_kernels::gemm::matmul(&l, &u).relative_error(&a) < 1e-8;
-                (profile, ok)
-            } else {
-                let x_true: Vec<f64> = (0..n).map(|i| i as f64 - n as f64 / 2.0).collect();
-                let b: Vec<f64> = (0..n)
-                    .map(|i| (0..n).map(|j| a[(i, j)] * x_true[j]).sum())
-                    .collect();
-                let (x, profile) = solve_2d(&a, &b, p, cfg).map_err(|e| e.to_string())?;
-                let ok = x
-                    .iter()
-                    .zip(&x_true)
-                    .all(|(a, b)| (a - b).abs() < 1e-6 * (1.0 + b.abs()));
-                (profile, ok)
-            }
-        }
-        "nbody" => {
-            if c == 0 || !p.is_multiple_of(c) {
-                return Err(format!(
-                    "--c {c} must divide --p {p} for the replicated n-body layout"
-                ));
-            }
-            let particles = random_particles(n, seed);
-            let pr = p / c;
-            let (acc, profile) =
-                nbody_replicated(&particles, pr, c, cfg).map_err(|e| e.to_string())?;
-            let mut serial = vec![[0.0; 3]; n];
-            accumulate_forces(&particles, &particles, &mut serial);
-            let ok = acc
-                .iter()
-                .zip(&serial)
-                .all(|(a, b)| (0..3).all(|d| (a[d] - b[d]).abs() < 1e-8));
-            (profile, ok)
-        }
-        "fft" => {
-            let mut rng = XorShift64::new(seed);
-            let x: Vec<psse_kernels::Complex64> = (0..n)
-                .map(|_| {
-                    psse_kernels::Complex64::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0))
-                })
-                .collect();
-            let (spec, profile) =
-                distributed_fft(&x, p, AllToAllKind::Pairwise, cfg).map_err(|e| e.to_string())?;
-            let reference = kernel_fft(&x);
-            let ok = spec
-                .iter()
-                .zip(&reference)
-                .all(|(a, b)| (*a - *b).abs() < 1e-7);
-            (profile, ok)
-        }
-        "tsqr" => {
-            let cols = args.u64_or("cols", 4)? as usize;
-            let a = Matrix::random(n, cols, seed);
-            let (r, profile) = tsqr(&a, p, cfg).map_err(|e| e.to_string())?;
-            let (_, r_seq) = psse_kernels::qr::householder_qr(&a);
-            (profile, r.max_abs_diff(&r_seq) < 1e-7)
-        }
-        "matvec" => {
-            let a = Matrix::random(n, n, seed);
-            let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 1.0).collect();
-            let (y, profile) = matvec_1d(&a, &x, p, cfg).map_err(|e| e.to_string())?;
-            let ok = (0..n).all(|i| {
-                let serial: f64 = a.row(i).iter().zip(&x).map(|(aij, xj)| aij * xj).sum();
-                (y[i] - serial).abs() < 1e-8 * (1.0 + serial.abs())
-            });
-            (profile, ok)
-        }
-        "samplesort" => {
-            let keys = random_keys(n, seed);
-            let (sorted, profile) = sample_sort(&keys, p, cfg).map_err(|e| e.to_string())?;
-            let mut reference = keys;
-            reference.sort_by(|a, b| a.total_cmp(b));
-            // Bit-identical, not approximately equal: sorting permutes,
-            // it never rounds.
-            (profile, sorted == reference)
-        }
-        "stencil" => {
-            let halo = args.u64_or("halo", 1)? as usize;
-            let iters = args.u64_or("iters", 4)? as usize;
-            // 2-D blocks when p is a perfect square dividing n, 1-D row
-            // slabs otherwise (same rule as the lab runner).
-            let q = (p as f64).sqrt().round() as usize;
-            let decomp = if q * q == p && q > 0 && n.is_multiple_of(q) {
-                Decomp::TwoD
-            } else {
-                Decomp::OneD
-            };
-            let grid = random_grid(n, seed);
-            let (out, profile) =
-                halo_stencil(&grid, n, halo, iters, decomp, p, cfg).map_err(|e| e.to_string())?;
-            let reference = serial_stencil(&grid, n, halo, iters);
-            (profile, out == reference)
-        }
-        other => {
-            return Err(format!(
-                "unknown simulation `{other}` \
-                 (cannon|summa|mm25d|mm3d|strassen|lu|solve|cholesky|tsqr|nbody|fft|matvec|\
-                 samplesort|stencil)"
-            ))
-        }
-    };
-    Ok((profile, verified))
-}
-
 pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[&MACHINE_KEYS, &RUN_KEYS]))?;
+    args.expect_keys(&allowed(&RUN_KEYS))?;
     let (mp, mname) = machine_from(args)?;
     let mut cfg = sim_config_from(&mp);
     cfg.backend = backend_from(args)?;
     let alg = args.req("alg")?;
     let backend = cfg.backend;
-    let (profile, verified) = run_algorithm(args, cfg)?;
+    let run = catalog::simulate(alg, &shape_from(args)?, cfg)?;
+    let (profile, verified) = (run.profile, run.verified);
 
     let m = measure(&profile, &mp);
     let _ = writeln!(
@@ -520,6 +336,13 @@ pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
     );
     let _ = writeln!(
         out,
+        "all ranks         F = {}, W = {}, S = {}",
+        profile.total_flops(),
+        profile.total_words_sent(),
+        profile.total_msgs_sent()
+    );
+    let _ = writeln!(
+        out,
         "peak memory/rank  M = {} words",
         profile.max_mem_peak()
     );
@@ -530,7 +353,7 @@ pub fn simulate(args: &Args, out: &mut String) -> CmdResult {
 }
 
 pub fn tech(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[&MACHINE_KEYS, &["target"]]))?;
+    args.expect_keys(&allowed(&["target"]))?;
     let (mp, _) = machine_from(args)?;
     let target = args.f64_or("target", 75.0)?;
     let study = CaseStudy::default();
@@ -596,14 +419,17 @@ pub fn trace_cmd(action: &str, args: &Args, out: &mut String) -> CmdResult {
 }
 
 fn trace_record(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[&MACHINE_KEYS, &RUN_KEYS, &["out"]]))?;
+    let mut keys = allowed(&RUN_KEYS);
+    keys.push("out");
+    args.expect_keys(&keys)?;
     let (mp, mname) = machine_from(args)?;
     let mut cfg = sim_config_from(&mp);
     cfg.backend = backend_from(args)?;
     cfg.record_trace = true;
     let alg = args.req("alg")?.to_string();
-    let (profile, verified) = run_algorithm(args, cfg.clone())?;
-    if !verified {
+    let run = catalog::simulate(&alg, &shape_from(args)?, cfg.clone())?;
+    let profile = run.profile;
+    if !run.verified {
         return Err("numerical verification failed; not saving the trace".into());
     }
     let trace = Trace::from_run(&cfg, &profile).map_err(|e| e.to_string())?;
@@ -626,7 +452,7 @@ fn trace_record(args: &Args, out: &mut String) -> CmdResult {
 }
 
 fn trace_replay(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[&MACHINE_KEYS, &["in"]]))?;
+    args.expect_keys(&allowed(&["in"]))?;
     let trace = Trace::load(args.req("in")?).map_err(|e| e.to_string())?;
     // Self-replay under the recorded parameters must reproduce the
     // recorded makespan exactly.
@@ -777,27 +603,24 @@ fn faults_sweep(args: &Args, out: &mut String) -> CmdResult {
     use psse_sim::prelude::{CheckpointPolicy, FaultPlan, FaultSpec, RecoveryPolicy};
 
     args.expect_keys(&allowed(&[
-        &MACHINE_KEYS,
-        &[
-            "n",
-            "q",
-            "c-list",
-            "seed",
-            "checkpoint-interval",
-            "drop-rate",
-            "corrupt-rate",
-            "duplicate-rate",
-            "delay-rate",
-            "delay-seconds",
-            "retries",
-            "backoff",
-            "checkpoint-words",
-            "restart",
-            "mtbf",
-            "out",
-            "jobs",
-            "backend",
-        ],
+        "n",
+        "q",
+        "c-list",
+        "seed",
+        "checkpoint-interval",
+        "drop-rate",
+        "corrupt-rate",
+        "duplicate-rate",
+        "delay-rate",
+        "delay-seconds",
+        "retries",
+        "backoff",
+        "checkpoint-words",
+        "restart",
+        "mtbf",
+        "out",
+        "jobs",
+        "backend",
     ]))?;
     let (mp, mname) = machine_from(args)?;
     let backend = backend_from(args)?;
@@ -1335,7 +1158,7 @@ fn bound_solve(args: &Args, out: &mut String) -> CmdResult {
 }
 
 fn bound_price(args: &Args, out: &mut String) -> CmdResult {
-    args.expect_keys(&allowed(&[&MACHINE_KEYS, &["kernel", "n", "p"]]))?;
+    args.expect_keys(&allowed(&["kernel", "n", "p"]))?;
     let (_, cost, _) = kernel_from(args)?;
     let (mp, mname) = machine_from(args)?;
     let n = args.req_u64("n")?;
@@ -1364,18 +1187,7 @@ fn bound_price(args: &Args, out: &mut String) -> CmdResult {
         cost.kernel_name()
     );
     let _ = writeln!(out, "family    : {}", family_str(cost.family()));
-    let _ = writeln!(
-        out,
-        "M0 = {} words/processor (energy-optimal, any p)",
-        fmt(opt.m0)
-    );
-    let _ = writeln!(
-        out,
-        "E* = {} J, attainable for p in [{}, {}]",
-        fmt(opt.e_star),
-        fmt(opt.p_lo),
-        fmt(opt.p_hi)
-    );
+    optimum_report(opt.m0, opt.e_star, (opt.p_lo, opt.p_hi), out);
     Ok(())
 }
 
@@ -1408,26 +1220,7 @@ fn bound_range(args: &Args, out: &mut String) -> CmdResult {
         cost.kernel_name(),
         cost.sigma
     );
-    let _ = writeln!(out, "n = {n}, M = {} words/processor (fixed)", fmt(mem));
-    match range {
-        Some(r) => {
-            let _ = writeln!(out, "p_min = {}  (one copy of the data)", fmt(r.p_min));
-            let _ = writeln!(out, "p_max = {}  (replication saturates)", fmt(r.p_max));
-            let _ = writeln!(
-                out,
-                "headroom = {}x: scale processors by that factor for the same\n\
-                 energy and proportionally less time.",
-                fmt(r.headroom())
-            );
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "{}: no perfect strong scaling range exists (see paper §IV).",
-                cost.kernel_name()
-            );
-        }
-    }
+    range_report(cost.kernel_name(), n, mem, range, out);
     Ok(())
 }
 

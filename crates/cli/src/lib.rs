@@ -43,7 +43,8 @@ use std::fmt::Write as _;
 /// Execute a CLI invocation; human-readable output is appended to `out`.
 pub fn run(argv: &[String], out: &mut String) -> Result<(), String> {
     if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
-        let _ = write!(out, "{}", HELP);
+        let _ = write!(out, "{HELP}");
+        algorithms_help(out);
         return Ok(());
     }
     if !argv[0].starts_with("--") && !COMMANDS.contains(&argv[0].as_str()) {
@@ -55,40 +56,25 @@ pub fn run(argv: &[String], out: &mut String) -> Result<(), String> {
             argv[0]
         ));
     }
-    if argv[0] == "trace" {
+    let grouped: Option<(&str, Action)> = match argv[0].as_str() {
+        "trace" => Some((
+            "record|replay|critical-path|export|flame",
+            commands::trace_cmd,
+        )),
+        "faults" => Some(("sweep", commands::faults_cmd)),
+        "lab" => Some(("run|expand|gc|fsck", commands::lab_cmd)),
+        "bound" => Some(("solve|price|range|explain", commands::bound_cmd)),
+        _ => None,
+    };
+    if let Some((actions, action)) = grouped {
         if argv.len() < 2 {
-            return Err(
-                "usage: psse trace <record|replay|critical-path|export|flame> [--option value]..."
-                    .into(),
-            );
+            return Err(format!(
+                "usage: psse {} <{actions}> [--option value]...",
+                argv[0]
+            ));
         }
         let args = Args::parse(&argv[1..])?;
-        let action = args.command.clone();
-        return commands::trace_cmd(&action, &args, out);
-    }
-    if argv[0] == "faults" {
-        if argv.len() < 2 {
-            return Err("usage: psse faults <sweep> [--option value]...".into());
-        }
-        let args = Args::parse(&argv[1..])?;
-        let action = args.command.clone();
-        return commands::faults_cmd(&action, &args, out);
-    }
-    if argv[0] == "lab" {
-        if argv.len() < 2 {
-            return Err("usage: psse lab <run|expand|gc|fsck> [--option value]...".into());
-        }
-        let args = Args::parse(&argv[1..])?;
-        let action = args.command.clone();
-        return commands::lab_cmd(&action, &args, out);
-    }
-    if argv[0] == "bound" {
-        if argv.len() < 2 {
-            return Err("usage: psse bound <solve|price|range|explain> [--option value]...".into());
-        }
-        let args = Args::parse(&argv[1..])?;
-        let action = args.command.clone();
-        return commands::bound_cmd(&action, &args, out);
+        return action(&args.command, &args, out);
     }
     let args = Args::parse(argv)?;
     match args.command.as_str() {
@@ -105,6 +91,9 @@ pub fn run(argv: &[String], out: &mut String) -> Result<(), String> {
     }
 }
 
+/// A command with actions (`psse trace record ...`).
+type Action = fn(&str, &Args, &mut String) -> Result<(), String>;
+
 /// Every top-level subcommand, for the `psse buond` → `bound` hint.
 const COMMANDS: &[&str] = &[
     "machines", "model", "scaling", "optimize", "simulate", "tech", "trace", "faults", "lab",
@@ -119,20 +108,25 @@ USAGE: psse <command> [--option value]...
 COMMANDS:
   machines   Print the paper's Table II processor database.
   model      Evaluate T (Eq. 1), E (Eq. 2) and P for an algorithm at a point.
-               --alg matmul|strassen|nbody|fft|lu|matvec  --n N  --p P
+               --alg ALG (a `model` row below)  --n N  --p P
                [--mem WORDS]        memory/processor (default: minimal)
                [--machine jaketown] plus per-parameter overrides, e.g.
                [--gamma-t S] [--beta-t S] [--alpha-t S] [--gamma-e J]
                [--beta-e J] [--alpha-e J] [--delta-e J] [--epsilon-e J]
                [--f FLOPS]          n-body flops per interaction (20)
+               [--halo H] [--iters K]  stencil halo width (1), sweeps (4)
   scaling    Print the perfect strong scaling range at fixed memory.
                --alg ... --n N --mem WORDS
   optimize   Section V answers for the n-body problem (closed form).
                --n N [--f FLOPS] [--tmax S] [--emax J]
                [--power-total W] [--power-proc W]
   simulate   Run the real algorithm on the virtual machine and price it.
-               --alg cannon|summa|mm25d|mm3d|strassen|lu|solve|nbody|fft|matvec
-               --n N --p P [--c C] [--panel W] [--seed S]
+               --alg ALG (a `simulate` row below)  --n N [--p P] (4)
+               [--c C]              replication factor: 2.5D c, n-body teams (1)
+               [--seed S]           input seed (42)
+               [--panel W]          SUMMA panel width (default n/sqrt(p))
+               [--cols K]           TSQR columns (4)
+               [--halo H] [--iters K]  stencil halo width (1), sweeps (4)
                [--backend threads|events]  execution backend (default threads;
                                            both are bit-identical by contract)
   tech       Technology scaling (Figs. 6-7): generations to a target.
@@ -212,7 +206,28 @@ COMMANDS:
                        scaling range [p_min, p_max] at fixed memory
                        [--csv]  one machine-readable row instead
   help       This message.
+
+ALGORITHMS (--alg, and `alg =` in lab specs of that kind):
 ";
+
+/// One line per catalog row: its spellings and the surfaces that
+/// accept it (`model` for model/scaling/lab model keys, `simulate` for
+/// simulate/trace record/lab simulate keys).
+fn algorithms_help(out: &mut String) {
+    for row in &psse_algos::catalog::CATALOG {
+        let mut name = row.name.to_string();
+        if !row.aliases.is_empty() {
+            let _ = write!(name, " ({})", row.aliases.join(", "));
+        }
+        let model = if row.model.is_some() { "model" } else { "" };
+        let simulate = if row.simulate.is_some() {
+            "simulate"
+        } else {
+            ""
+        };
+        let _ = writeln!(out, "  {name:<18} {model:<6} {simulate}");
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -20,6 +20,9 @@
 
 use crate::bounds::ScalingRange;
 use crate::error::CoreError;
+use crate::optimize::matmul::MatMulOptimizer;
+use crate::optimize::nbody::NBodyOptimizer;
+use crate::optimize::RunConfig;
 use crate::params::MachineParams;
 use crate::Real;
 
@@ -117,6 +120,40 @@ pub trait Algorithm {
         }
         Ok((self.min_memory(n, p), self.max_useful_memory(n, p)))
     }
+
+    /// `(T, E)` at an explicit `(p, M)`. The default is the generic
+    /// Eq. 1/2 pricing of [`price_point`]. Models with a §V closed form override it with their optimizer's
+    /// `evaluate`, so every caller gets the closed form's exact bits.
+    fn evaluate_point(
+        &self,
+        machine: &MachineParams,
+        n: u64,
+        p: u64,
+        mem: Real,
+    ) -> Result<RunConfig, CoreError> {
+        price_point(self, machine, n, p, mem)
+    }
+}
+
+/// The generic Eq. 1/2 pricing behind [`Algorithm::evaluate_point`]:
+/// `(F, W, S)` at `M` clamped into the valid range, then `T` (Eq. 1)
+/// and `E` (Eq. 2) charging the requested `M`.
+pub fn price_point<A: Algorithm + ?Sized>(
+    alg: &A,
+    machine: &MachineParams,
+    n: u64,
+    p: u64,
+    mem: Real,
+) -> Result<RunConfig, CoreError> {
+    let costs = alg.costs_clamped(n, p, mem, machine)?;
+    let time = machine.time(&costs);
+    let energy = machine.energy(p, &costs, mem, time);
+    Ok(RunConfig {
+        p: p as Real,
+        mem,
+        time,
+        energy,
+    })
 }
 
 fn check_memory(m: Real, lo: Real, hi: Real) -> Result<(), CoreError> {
@@ -185,6 +222,16 @@ impl Algorithm for ClassicalMatMul {
             p_min: nf * nf / mem,
             p_max: nf * nf * nf / mem.powf(1.5),
         })
+    }
+
+    fn evaluate_point(
+        &self,
+        machine: &MachineParams,
+        n: u64,
+        p: u64,
+        mem: Real,
+    ) -> Result<RunConfig, CoreError> {
+        Ok(MatMulOptimizer::new(machine)?.evaluate(n, p, mem))
     }
 }
 
@@ -441,6 +488,16 @@ impl Algorithm for DirectNBody {
             p_min: nf / mem,
             p_max: nf * nf / (mem * mem),
         })
+    }
+
+    fn evaluate_point(
+        &self,
+        machine: &MachineParams,
+        n: u64,
+        p: u64,
+        mem: Real,
+    ) -> Result<RunConfig, CoreError> {
+        Ok(NBodyOptimizer::new(machine, self.flops_per_interaction)?.evaluate(n, p, mem))
     }
 }
 

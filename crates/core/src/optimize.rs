@@ -124,19 +124,6 @@ pub mod nbody {
             Ok((nf / m0, nf * nf / (m0 * m0)))
         }
 
-        /// §V.A: minimum runtime uses as many processors as available and
-        /// the 2D limit `M = n/√p`.
-        pub fn min_time(&self, n: u64, p: u64) -> RunConfig {
-            let nf = n as Real;
-            let mem = nf / (p as Real).sqrt();
-            RunConfig {
-                p: p as Real,
-                mem,
-                time: t_nbody(self.params, n, p, mem, self.f),
-                energy: e_nbody(self.params, n, mem, self.f),
-            }
-        }
-
         /// The runtime threshold of §V.B: the minimum energy `E*` is
         /// attainable within a deadline `Tmax` iff
         /// `Tmax ≥ γt·f·M0² + (βt + αt/m)·M0`
@@ -686,6 +673,71 @@ pub mod numeric {
         })
     }
 
+    /// What a constrained sweep minimizes over `M` at each `p`.
+    #[derive(Clone, Copy)]
+    enum Goal {
+        Energy,
+        Time,
+    }
+
+    /// Sweep `p_candidates` and, for each, minimize `goal` over `M`
+    /// among the points `allowed(p, T, E)` accepts; return the best
+    /// compliant configuration, or `Infeasible(none())`.
+    fn constrained_sweep(
+        alg: &dyn Algorithm,
+        params: &MachineParams,
+        n: u64,
+        p_candidates: &[u64],
+        goal: Goal,
+        allowed: impl Fn(u64, Real, Real) -> bool,
+        none: impl FnOnce() -> String,
+    ) -> Result<RunConfig, CoreError> {
+        let point = |p: u64, m: Real| -> Result<(Real, Real), CoreError> {
+            let c = alg.costs(n, p, m, params)?;
+            let t = params.time(&c);
+            Ok((t, params.energy(p, &c, m, t)))
+        };
+        let mut best: Option<RunConfig> = None;
+        for &p in p_candidates {
+            let Ok((lo, hi)) = alg.memory_range(n, p) else {
+                continue;
+            };
+            let eval = |m: Real| -> Real {
+                match point(p, m) {
+                    Ok((t, e)) if allowed(p, t, e) => match goal {
+                        Goal::Energy => e,
+                        Goal::Time => t,
+                    },
+                    _ => Real::INFINITY,
+                }
+            };
+            // The objective is unimodal in M, but the constraint clips the
+            // domain; golden section still finds the clipped minimum
+            // because the infeasible region (small M means *less* time for
+            // the replicating algorithms, large M less communication — both
+            // monotone) stays on one side.
+            let (m, v) = golden_section_min(eval, lo, hi.max(lo * (1.0 + 1e-9)), 1e-12);
+            if !v.is_finite() {
+                continue;
+            }
+            let (time, energy) = point(p, m)?;
+            let cfg = RunConfig {
+                p: p as Real,
+                mem: m,
+                time,
+                energy,
+            };
+            let better = |b: &RunConfig| match goal {
+                Goal::Energy => cfg.energy < b.energy,
+                Goal::Time => cfg.time < b.time,
+            };
+            if best.as_ref().is_none_or(better) {
+                best = Some(cfg);
+            }
+        }
+        best.ok_or_else(|| CoreError::Infeasible(none()))
+    }
+
     /// Question 2 (min energy under a deadline): sweep `p` over
     /// `p_candidates` and, for each, minimize energy over `M` subject to
     /// `T(p, M) ≤ tmax`; return the best compliant configuration.
@@ -696,46 +748,9 @@ pub mod numeric {
         p_candidates: &[u64],
         tmax: Real,
     ) -> Result<RunConfig, CoreError> {
-        let mut best: Option<RunConfig> = None;
-        for &p in p_candidates {
-            let Ok((lo, hi)) = alg.memory_range(n, p) else {
-                continue;
-            };
-            let eval = |m: Real| -> Real {
-                match alg.costs(n, p, m, params) {
-                    Ok(c) => {
-                        let t = params.time(&c);
-                        if t > tmax {
-                            Real::INFINITY
-                        } else {
-                            params.energy(p, &c, m, t)
-                        }
-                    }
-                    Err(_) => Real::INFINITY,
-                }
-            };
-            // Energy is unimodal in M, but the deadline clips the domain;
-            // golden section still finds the clipped minimum because the
-            // infeasible region (small M means *less* time for the
-            // replicating algorithms, large M less communication — both
-            // monotone) stays on one side.
-            let (m, e) = golden_section_min(eval, lo, hi.max(lo * (1.0 + 1e-9)), 1e-12);
-            if !e.is_finite() {
-                continue;
-            }
-            let c = alg.costs(n, p, m, params)?;
-            let cfg = RunConfig {
-                p: p as Real,
-                mem: m,
-                time: params.time(&c),
-                energy: e,
-            };
-            if best.as_ref().is_none_or(|b| cfg.energy < b.energy) {
-                best = Some(cfg);
-            }
-        }
-        best.ok_or_else(|| {
-            CoreError::Infeasible(format!("no candidate p meets the deadline Tmax = {tmax} s"))
+        let allowed = |_, t, _| t <= tmax;
+        constrained_sweep(alg, params, n, p_candidates, Goal::Energy, allowed, || {
+            format!("no candidate p meets the deadline Tmax = {tmax} s")
         })
     }
 
@@ -748,41 +763,9 @@ pub mod numeric {
         p_candidates: &[u64],
         emax: Real,
     ) -> Result<RunConfig, CoreError> {
-        let mut best: Option<RunConfig> = None;
-        for &p in p_candidates {
-            let Ok((lo, hi)) = alg.memory_range(n, p) else {
-                continue;
-            };
-            let eval = |m: Real| -> Real {
-                match alg.costs(n, p, m, params) {
-                    Ok(c) => {
-                        let t = params.time(&c);
-                        if params.energy(p, &c, m, t) > emax {
-                            Real::INFINITY
-                        } else {
-                            t
-                        }
-                    }
-                    Err(_) => Real::INFINITY,
-                }
-            };
-            let (m, t) = golden_section_min(eval, lo, hi.max(lo * (1.0 + 1e-9)), 1e-12);
-            if !t.is_finite() {
-                continue;
-            }
-            let c = alg.costs(n, p, m, params)?;
-            let cfg = RunConfig {
-                p: p as Real,
-                mem: m,
-                time: t,
-                energy: params.energy(p, &c, m, params.time(&c)),
-            };
-            if best.as_ref().is_none_or(|b| cfg.time < b.time) {
-                best = Some(cfg);
-            }
-        }
-        best.ok_or_else(|| {
-            CoreError::Infeasible(format!("no candidate p fits the budget Emax = {emax} J"))
+        let allowed = |_, _, e| e <= emax;
+        constrained_sweep(alg, params, n, p_candidates, Goal::Time, allowed, || {
+            format!("no candidate p fits the budget Emax = {emax} J")
         })
     }
 
@@ -808,43 +791,9 @@ pub mod numeric {
         p_candidates: &[u64],
         p_total_max: Real,
     ) -> Result<RunConfig, CoreError> {
-        let mut best: Option<RunConfig> = None;
-        for &p in p_candidates {
-            let Ok((lo, hi)) = alg.memory_range(n, p) else {
-                continue;
-            };
-            let eval = |m: Real| -> Real {
-                match alg.costs(n, p, m, params) {
-                    Ok(c) => {
-                        let t = params.time(&c);
-                        if params.energy(p, &c, m, t) / t > p_total_max {
-                            Real::INFINITY
-                        } else {
-                            t
-                        }
-                    }
-                    Err(_) => Real::INFINITY,
-                }
-            };
-            let (m, t) = golden_section_min(eval, lo, hi.max(lo * (1.0 + 1e-9)), 1e-12);
-            if !t.is_finite() {
-                continue;
-            }
-            let c = alg.costs(n, p, m, params)?;
-            let cfg = RunConfig {
-                p: p as Real,
-                mem: m,
-                time: t,
-                energy: params.energy(p, &c, m, params.time(&c)),
-            };
-            if best.as_ref().is_none_or(|b| cfg.time < b.time) {
-                best = Some(cfg);
-            }
-        }
-        best.ok_or_else(|| {
-            CoreError::Infeasible(format!(
-                "no candidate p runs within the total power budget {p_total_max} W"
-            ))
+        let allowed = |_, t, e| e / t <= p_total_max;
+        constrained_sweep(alg, params, n, p_candidates, Goal::Time, allowed, || {
+            format!("no candidate p runs within the total power budget {p_total_max} W")
         })
     }
 
@@ -857,44 +806,9 @@ pub mod numeric {
         p_candidates: &[u64],
         p_proc_max: Real,
     ) -> Result<RunConfig, CoreError> {
-        let mut best: Option<RunConfig> = None;
-        for &p in p_candidates {
-            let Ok((lo, hi)) = alg.memory_range(n, p) else {
-                continue;
-            };
-            let eval = |m: Real| -> Real {
-                match alg.costs(n, p, m, params) {
-                    Ok(c) => {
-                        let t = params.time(&c);
-                        let e = params.energy(p, &c, m, t);
-                        if e / (t * p as Real) > p_proc_max {
-                            Real::INFINITY
-                        } else {
-                            e
-                        }
-                    }
-                    Err(_) => Real::INFINITY,
-                }
-            };
-            let (m, e) = golden_section_min(eval, lo, hi.max(lo * (1.0 + 1e-9)), 1e-12);
-            if !e.is_finite() {
-                continue;
-            }
-            let c = alg.costs(n, p, m, params)?;
-            let cfg = RunConfig {
-                p: p as Real,
-                mem: m,
-                time: params.time(&c),
-                energy: e,
-            };
-            if best.as_ref().is_none_or(|b| cfg.energy < b.energy) {
-                best = Some(cfg);
-            }
-        }
-        best.ok_or_else(|| {
-            CoreError::Infeasible(format!(
-                "no candidate p runs within the per-processor power budget {p_proc_max} W"
-            ))
+        let allowed = |p, t, e| e / (t * p as Real) <= p_proc_max;
+        constrained_sweep(alg, params, n, p_candidates, Goal::Energy, allowed, || {
+            format!("no candidate p runs within the per-processor power budget {p_proc_max} W")
         })
     }
 

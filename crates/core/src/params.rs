@@ -57,7 +57,25 @@ pub struct MachineParams {
     pub mem_words: Real,
 }
 
+/// A field accessor of [`MachineParams::OVERRIDES`].
+pub type ParamField = fn(&mut MachineParams) -> &mut Real;
+
 impl MachineParams {
+    /// The per-parameter override keys that the CLI (`--gamma-t S`) and
+    /// lab specs (`gamma-t = S`) accept, each with the field it sets.
+    pub const OVERRIDES: [(&'static str, ParamField); 10] = [
+        ("gamma-t", |m| &mut m.gamma_t),
+        ("beta-t", |m| &mut m.beta_t),
+        ("alpha-t", |m| &mut m.alpha_t),
+        ("gamma-e", |m| &mut m.gamma_e),
+        ("beta-e", |m| &mut m.beta_e),
+        ("alpha-e", |m| &mut m.alpha_e),
+        ("delta-e", |m| &mut m.delta_e),
+        ("epsilon-e", |m| &mut m.epsilon_e),
+        ("max-message", |m| &mut m.max_message_words),
+        ("mem-words", |m| &mut m.mem_words),
+    ];
+
     /// Start building a machine description. All prices default to zero
     /// except `γt` (which has no sensible default and must be set),
     /// `m = 1` and `M = +∞`.

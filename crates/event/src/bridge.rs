@@ -7,19 +7,6 @@ use crate::step::{Delivered, Step};
 use psse_sim::error::SimResult;
 use psse_sim::{Backend, Machine, SimConfig};
 
-/// Environment variable selecting the event backend's worker count:
-/// `1` (or unset) runs the serial virtual-time scheduler, `> 1` the
-/// round-based work-stealing executor. Output is byte-identical either
-/// way; the knob only trades wall-clock for cores.
-pub const EVENT_WORKERS_ENV: &str = "PSSE_EVENT_WORKERS";
-
-fn event_workers() -> usize {
-    std::env::var(EVENT_WORKERS_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-}
-
 /// Run one program per rank on the backend selected by
 /// [`SimConfig::backend`]:
 ///
@@ -71,13 +58,6 @@ where
                 stats: ExecStats::default(),
             })
         }
-        Backend::Events => {
-            let workers = event_workers();
-            if workers > 1 {
-                EventMachine::run_parallel(p, cfg, make, workers)
-            } else {
-                EventMachine::run(p, cfg, make)
-            }
-        }
+        Backend::Events => EventMachine::run(p, cfg, make),
     }
 }

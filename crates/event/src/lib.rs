@@ -29,12 +29,12 @@
 //! reports the full blocked set as [`psse_sim::SimError::Deadlock`] in
 //! zero wall-clock time.
 //!
-//! An optional round-based work-stealing executor
-//! ([`EventMachine::run_parallel`], selected by the
-//! [`bridge::EVENT_WORKERS_ENV`] variable) spreads ranks across
-//! threads without changing one observable byte: per-`(src, tag)`
-//! matching depends only on per-sender order, which round-merging
-//! preserves.
+//! [`run_programs`] always uses the serial scheduler,
+//! [`EventMachine::run`]. A round-based work-stealing executor,
+//! [`EventMachine::run_parallel`], spreads ranks across threads for
+//! callers that ask for it, without changing one observable byte:
+//! per-`(src, tag)` matching depends only on per-sender order, which
+//! round-merging preserves.
 //!
 //! ## The mega-scale hot path
 //!

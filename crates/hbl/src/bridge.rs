@@ -11,16 +11,16 @@
 //! [`DirectNBody`](psse_core::costs::DirectNBody) and the very same
 //! closed-form optimizers, so sweeps and CSVs are interchangeable with
 //! the existing `alg = matmul` / `alg = nbody` paths. Kernels outside
-//! those families price through the generic Eq. 1/2 path (exactly what
-//! the lab runner does for `lu`, `cholesky`, ...), and `fft-pebbling`
-//! kernels delegate wholesale to [`FftTree`].
+//! those families price through the generic Eq. 1/2 path (the trait's
+//! default [`Algorithm::evaluate_point`], as `lu`, `cholesky`, ... do),
+//! and `fft-pebbling` kernels delegate wholesale to [`FftTree`].
 
 use crate::analysis::{analyze, HblAnalysis};
 use crate::dsl::{Kernel, SpecialBound};
 use crate::error::HblError;
 use crate::rational::Rational;
 use psse_core::bounds::ScalingRange;
-use psse_core::costs::{Algorithm, AlgorithmCosts, FftTree};
+use psse_core::costs::{price_point, Algorithm, AlgorithmCosts, FftTree};
 use psse_core::error::CoreError;
 use psse_core::optimize::matmul::MatMulOptimizer;
 use psse_core::optimize::nbody::NBodyOptimizer;
@@ -165,37 +165,6 @@ impl KernelCost {
         Family::Generic
     }
 
-    /// Evaluate `(T, E)` at an explicit `(p, M)`, dispatching by family
-    /// so that matmul- and n-body-shaped kernels reproduce the closed
-    /// forms bit-for-bit (this is exactly the lab runner's model
-    /// dispatch). Generic kernels clamp `M` into the valid range for
-    /// the costs (the energy still charges the requested `M`).
-    pub fn evaluate_point(
-        &self,
-        machine: &MachineParams,
-        n: u64,
-        p: u64,
-        mem: Real,
-    ) -> Result<RunConfig, CoreError> {
-        match self.family() {
-            Family::Matmul25 => Ok(MatMulOptimizer::new(machine)?.evaluate(n, p, mem)),
-            Family::NBody => {
-                Ok(NBodyOptimizer::new(machine, self.flops_per_iter)?.evaluate(n, p, mem))
-            }
-            Family::Pebbling | Family::Generic => {
-                let costs = self.costs_clamped(n, p, mem, machine)?;
-                let t = machine.time(&costs);
-                let e = machine.energy(p, &costs, mem, t);
-                Ok(RunConfig {
-                    p: p as Real,
-                    mem,
-                    time: t,
-                    energy: e,
-                })
-            }
-        }
-    }
-
     /// The energy-optimal operating point (§V.A): `M0`, `E*` and the
     /// processor range where `M0` is feasible — via the closed-form
     /// optimizers for the matmul/n-body families (bit-for-bit what
@@ -334,6 +303,28 @@ impl Algorithm for KernelCost {
             p_min: pow_chain(nf, self.rmax) / mem,
             p_max: pow_chain(nf, self.depth) / pow_rat(mem, self.sigma),
         })
+    }
+
+    /// Dispatch by family: matmul- and n-body-shaped kernels price
+    /// through the same closed-form optimizers as
+    /// [`ClassicalMatMul`](psse_core::costs::ClassicalMatMul) and
+    /// [`DirectNBody`](psse_core::costs::DirectNBody), so they match
+    /// those models bit for bit; every other kernel takes the generic
+    /// Eq. 1/2 path.
+    fn evaluate_point(
+        &self,
+        machine: &MachineParams,
+        n: u64,
+        p: u64,
+        mem: Real,
+    ) -> Result<RunConfig, CoreError> {
+        match self.family() {
+            Family::Matmul25 => Ok(MatMulOptimizer::new(machine)?.evaluate(n, p, mem)),
+            Family::NBody => {
+                Ok(NBodyOptimizer::new(machine, self.flops_per_iter)?.evaluate(n, p, mem))
+            }
+            Family::Pebbling | Family::Generic => price_point(self, machine, n, p, mem),
+        }
     }
 }
 

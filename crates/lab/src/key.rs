@@ -64,8 +64,10 @@ impl std::str::FromStr for RunKind {
 pub struct RunKey {
     /// Model evaluation or simulator execution.
     pub kind: RunKind,
-    /// Canonical algorithm id (`matmul`, `nbody`, `mm25d`, ...). The
-    /// valid set depends on `kind`; see [`crate::runner`].
+    /// Algorithm name as spelled in the spec (`matmul`, `nbody`,
+    /// `mm25d`, ...), resolved through [`psse_algos::catalog`]: model
+    /// keys accept the rows with a cost model, simulate keys the rows
+    /// with an executor.
     pub alg: String,
     /// Problem size.
     pub n: u64,

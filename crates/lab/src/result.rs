@@ -140,13 +140,7 @@ impl RunResult {
     }
 }
 
-/// Digest an output payload's f64 bit patterns with splitmix64, so two
-/// runs can be compared for bit-identical outputs without retaining the
-/// payloads.
-pub fn digest_f64s(values: &[f64]) -> u64 {
-    let words: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-    psse_faults::rng::hash_key(0x6f75_7470_7574_6467, &words)
-}
+pub use psse_algos::catalog::digest_f64s;
 
 /// splitmix64 checksum of a line's raw bytes: length word, then the
 /// bytes packed into little-endian 8-byte chunks (the same packing the

@@ -1,61 +1,43 @@
 //! Execute one [`RunKey`]: model evaluation or simulator run.
 //!
-//! Model runs reproduce the *exact* float paths used by the existing
-//! figure benches — [`NBodyOptimizer::evaluate`] for n-body and the
-//! `t_matmul_25d`/`e_matmul_25d` closed forms for 2.5D matmul — so a
-//! sweep routed through the lab regenerates checked-in CSVs
-//! byte-identically. Everything else goes through the generic
-//! [`Algorithm`] cost model (Eqs. 1–2). Simulator runs execute the real
-//! distributed algorithm on the virtual machine and price the recorded
+//! Both kinds resolve `alg` through [`psse_algos::catalog`], the one
+//! table that `psse model` and `psse simulate` read too. Model runs
+//! price through [`Algorithm::evaluate_point`], so n-body and 2.5D
+//! matmul reproduce the exact float paths of the figure benches (their
+//! §V closed forms) and a sweep routed through the lab regenerates
+//! checked-in CSVs byte-identically; HBL `kernel =` keys take the same
+//! path with a derived model. Simulator runs execute the real
+//! distributed algorithm on the virtual machine, check it against the
+//! sequential reference and price the recorded
 //! [`Profile`](psse_sim::prelude::Profile).
 
-use psse_algos::prelude::{
-    cannon_matmul, halo_stencil, matmul_25d, matmul_25d_abft, measure, measure_into,
-    nbody_replicated, random_grid, random_keys, sample_sort, serial_stencil, sim_config_from,
-    summa_matmul, summa_matmul_abft, Decomp,
-};
-use psse_core::costs::{
-    Algorithm, Cholesky25d, ClassicalMatMul, DirectNBody, FftAllToAll, FftTree, HaloStencilModel,
-    Lu25d, MatVec, SampleSortModel, StrassenMatMul,
-};
-use psse_core::optimize::matmul::MatMulOptimizer;
-use psse_core::optimize::nbody::NBodyOptimizer;
+use psse_algos::catalog::{self, Shape};
+use psse_algos::prelude::{measure, measure_into, sim_config_from};
+use psse_core::costs::Algorithm;
 use psse_hbl::prelude::{derive, Kernel};
-use psse_kernels::matrix::Matrix;
-use psse_kernels::nbody::random_particles;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::key::{RunKey, RunKind};
-use crate::result::{digest_f64s, RunResult};
+use crate::result::RunResult;
 
-/// Resolve a model-run algorithm id to its cost model. `f` is the
-/// n-body flops-per-interaction knob, `halo`/`iters` the stencil shape
-/// (each ignored by the other algorithms).
+/// Resolve a model-run algorithm id to its catalog cost model. `f` is
+/// the n-body flops-per-interaction knob, `halo`/`iters` the stencil
+/// shape (each ignored by the other algorithms).
 pub fn model_algorithm(
     alg: &str,
     f: f64,
     halo: u64,
     iters: u64,
 ) -> Result<Box<dyn Algorithm>, String> {
-    Ok(match alg {
-        "matmul" | "mm25d" => Box::new(ClassicalMatMul),
-        "strassen" => Box::new(StrassenMatMul::default()),
-        "lu" => Box::new(Lu25d),
-        "cholesky" => Box::new(Cholesky25d),
-        "nbody" => Box::new(DirectNBody {
-            flops_per_interaction: f,
-        }),
-        "matvec" => Box::new(MatVec),
-        "fft" | "fft-tree" => Box::new(FftTree),
-        "fft-a2a" => Box::new(FftAllToAll),
-        "samplesort" => Box::new(SampleSortModel),
-        "stencil" => Box::new(HaloStencilModel { halo, iters }),
-        other => {
-            return Err(format!(
-                "unknown model algorithm `{other}` \
-                 (matmul|strassen|lu|cholesky|nbody|matvec|fft|fft-a2a|samplesort|stencil)"
-            ));
-        }
-    })
+    catalog::model(
+        alg,
+        &Shape {
+            f,
+            halo,
+            iters,
+            ..Shape::new(0, 0)
+        },
+    )
 }
 
 /// Execute one run. Deterministic: equal keys produce equal results,
@@ -94,68 +76,70 @@ pub fn execute_watched(
     registry: Option<&psse_metrics::Registry>,
     timeout: Option<std::time::Duration>,
 ) -> Result<RunResult, String> {
-    let Some(limit) = timeout else {
+    let (RunKind::Simulate, Some(limit)) = (key.kind, timeout) else {
         return execute_into(key, registry);
     };
-    match key.kind {
-        RunKind::Model => execute_model(key),
-        RunKind::Simulate => {
-            use std::sync::{Arc, Condvar, Mutex, PoisonError};
-            let flag = psse_sim::CancelFlag::new();
-            // A zero budget is already exhausted; trip the flag before
-            // launch so the outcome does not race thread scheduling.
-            if limit.is_zero() {
-                flag.cancel();
-            }
-            // Condvar-armed watchdog: fires after `limit` unless the run
-            // finishes first (then it is woken and exits immediately, so
-            // a sweep of fast runs never accumulates sleeping threads).
-            let done = Arc::new((Mutex::new(false), Condvar::new()));
-            let watchdog = std::thread::spawn({
-                let flag = flag.clone();
-                let done = Arc::clone(&done);
-                move || {
-                    let (lock, cv) = &*done;
-                    let mut finished = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                    let deadline = std::time::Instant::now() + limit;
-                    while !*finished {
-                        let left = deadline.saturating_duration_since(std::time::Instant::now());
-                        if left.is_zero() {
-                            flag.cancel();
-                            return;
-                        }
-                        let (guard, _) = cv
-                            .wait_timeout(finished, left)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        finished = guard;
-                    }
+    let flag = psse_sim::CancelFlag::new();
+    // A zero budget is already exhausted; trip the flag before
+    // launch so the outcome does not race thread scheduling.
+    if limit.is_zero() {
+        flag.cancel();
+    }
+    // Condvar-armed watchdog: fires after `limit` unless the run
+    // finishes first (then it is woken and exits immediately, so
+    // a sweep of fast runs never accumulates sleeping threads).
+    let done = Arc::new((Mutex::new(false), Condvar::new()));
+    let watchdog = std::thread::spawn({
+        let flag = flag.clone();
+        let done = Arc::clone(&done);
+        move || {
+            let (lock, cv) = &*done;
+            let mut finished = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            let deadline = std::time::Instant::now() + limit;
+            while !*finished {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                if left.is_zero() {
+                    flag.cancel();
+                    return;
                 }
-            });
-            let r = execute_simulate(key, registry, Some(flag.clone()));
-            {
-                let (lock, cv) = &*done;
-                *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
-                cv.notify_all();
-            }
-            let _ = watchdog.join();
-            match r {
-                // Any failure after the flag fired is the watchdog's
-                // doing; normalize to one deterministic message.
-                Err(_) if flag.is_cancelled() => Err(format!(
-                    "timeout: run exceeded the {:.3}s wall-clock budget and was cancelled",
-                    limit.as_secs_f64()
-                )),
-                other => other,
+                let (guard, _) = cv
+                    .wait_timeout(finished, left)
+                    .unwrap_or_else(PoisonError::into_inner);
+                finished = guard;
             }
         }
+    });
+    let r = execute_simulate(key, registry, Some(flag.clone()));
+    {
+        let (lock, cv) = &*done;
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        cv.notify_all();
+    }
+    let _ = watchdog.join();
+    match r {
+        // Any failure after the flag fired is the watchdog's
+        // doing; normalize to one deterministic message.
+        Err(_) if flag.is_cancelled() => Err(format!(
+            "timeout: run exceeded the {:.3}s wall-clock budget and was cancelled",
+            limit.as_secs_f64()
+        )),
+        other => other,
     }
 }
 
 fn execute_model(key: &RunKey) -> Result<RunResult, String> {
-    if let Some(text) = &key.kernel {
-        return execute_kernel_model(key, text);
-    }
-    let alg = model_algorithm(&key.alg, key.f, key.halo, key.iters)?;
+    let (derived, table);
+    let alg: &dyn Algorithm = match &key.kernel {
+        Some(text) => {
+            let kernel = Kernel::parse(text).map_err(|e| e.to_string())?;
+            derived = derive(&kernel).map_err(|e| e.to_string())?.0;
+            &derived
+        }
+        None => {
+            table = model_algorithm(&key.alg, key.f, key.halo, key.iters)?;
+            table.as_ref()
+        }
+    };
     let (lo, hi) = alg.memory_range(key.n, key.p).map_err(|e| e.to_string())?;
     // mem = 0 means "minimal memory at (n, p)"; clamp_mem folds
     // out-of-band requests back into [lo, hi] instead of flagging them.
@@ -167,55 +151,11 @@ fn execute_model(key: &RunKey) -> Result<RunResult, String> {
     };
     // Same predicate as the Fig. 4 bench's `feasible()`.
     let feasible = (lo..=hi).contains(&mem_eff);
-
-    let (time, energy) = match key.alg.as_str() {
-        // Closed forms, bit-identical to the figure benches.
-        "nbody" => {
-            let opt = NBodyOptimizer::new(&key.machine, key.f).map_err(|e| e.to_string())?;
-            let cfg = opt.evaluate(key.n, key.p, mem_eff);
-            (cfg.time, cfg.energy)
-        }
-        "matmul" | "mm25d" => {
-            let opt = MatMulOptimizer::new(&key.machine).map_err(|e| e.to_string())?;
-            let cfg = opt.evaluate(key.n, key.p, mem_eff);
-            (cfg.time, cfg.energy)
-        }
-        // Everything else prices the generic (F, W, S) model.
-        _ => {
-            let costs = alg
-                .costs_clamped(key.n, key.p, mem_eff, &key.machine)
-                .map_err(|e| e.to_string())?;
-            let t = key.machine.time(&costs);
-            let e = key.machine.energy(key.p, &costs, mem_eff, t);
-            (t, e)
-        }
-    };
-    let mut r = RunResult::model(feasible, time, energy, mem_eff);
-    r.flops = alg.total_flops(key.n);
-    Ok(r)
-}
-
-/// Model a run whose cost model is derived from an HBL kernel file
-/// instead of the hand-written table. The family dispatch inside
-/// [`psse_hbl::bridge::KernelCost::evaluate_point`] mirrors the `alg`
-/// match above, so a kernel whose derived exponents match a table
-/// algorithm prices bit-for-bit identically to it.
-fn execute_kernel_model(key: &RunKey, text: &str) -> Result<RunResult, String> {
-    let kernel = Kernel::parse(text).map_err(|e| e.to_string())?;
-    let (cost, _) = derive(&kernel).map_err(|e| e.to_string())?;
-    let (lo, hi) = cost.memory_range(key.n, key.p).map_err(|e| e.to_string())?;
-    let mem = if key.mem == 0.0 { lo } else { key.mem };
-    let mem_eff = if key.clamp_mem {
-        mem.clamp(lo, hi)
-    } else {
-        mem
-    };
-    let feasible = (lo..=hi).contains(&mem_eff);
-    let cfg = cost
+    let cfg = alg
         .evaluate_point(&key.machine, key.n, key.p, mem_eff)
         .map_err(|e| e.to_string())?;
     let mut r = RunResult::model(feasible, cfg.time, cfg.energy, mem_eff);
-    r.flops = cost.total_flops(key.n);
+    r.flops = alg.total_flops(key.n);
     Ok(r)
 }
 
@@ -224,9 +164,6 @@ fn execute_simulate(
     registry: Option<&psse_metrics::Registry>,
     cancel: Option<psse_sim::CancelFlag>,
 ) -> Result<RunResult, String> {
-    let n = key.n as usize;
-    let p = key.p as usize;
-    let c = key.c as usize;
     let mut cfg = sim_config_from(&key.machine);
     cfg.faults = key.faults.clone();
     cfg.backend = key.backend;
@@ -234,96 +171,22 @@ fn execute_simulate(
     // consulted, never priced), so a watched run that completes is
     // bit-identical to an unwatched one.
     cfg.cancel = cancel;
-
-    let (output_digest, verified, profile) = match key.alg.as_str() {
-        "mm25d" | "mm25d-abft" | "summa" | "summa-abft" | "cannon" => {
-            let a = Matrix::random(n, n, key.seed);
-            let b = Matrix::random(n, n, key.seed + 1);
-            let ((c_mat, profile), verified) = match key.alg.as_str() {
-                "mm25d" => (
-                    matmul_25d(&a, &b, p, c, cfg).map_err(|e| e.to_string())?,
-                    false,
-                ),
-                "mm25d-abft" => (
-                    matmul_25d_abft(&a, &b, p, c, cfg).map_err(|e| e.to_string())?,
-                    true,
-                ),
-                "summa" => (
-                    summa_matmul(&a, &b, p, c.max(1), cfg).map_err(|e| e.to_string())?,
-                    false,
-                ),
-                "summa-abft" => (
-                    summa_matmul_abft(&a, &b, p, c.max(1), cfg).map_err(|e| e.to_string())?,
-                    true,
-                ),
-                "cannon" => (
-                    cannon_matmul(&a, &b, p, cfg).map_err(|e| e.to_string())?,
-                    false,
-                ),
-                _ => unreachable!(),
-            };
-            (digest_f64s(c_mat.as_slice()), verified, profile)
-        }
-        "nbody" => {
-            // `p = pr·c`: the key's p is total ranks, c the replication
-            // factor, so the ring size is p/c.
-            let particles = random_particles(n, key.seed);
-            let c = c.max(1);
-            let (forces, profile) =
-                nbody_replicated(&particles, p / c, c, cfg).map_err(|e| e.to_string())?;
-            let flat: Vec<f64> = forces.iter().flatten().copied().collect();
-            (digest_f64s(&flat), false, profile)
-        }
-        "samplesort" => {
-            let keys = random_keys(n, key.seed);
-            let (sorted, profile) = sample_sort(&keys, p, cfg).map_err(|e| e.to_string())?;
-            // Verified in-run: the concatenated buckets must be the
-            // permutation `sort` would produce.
-            let mut reference = keys;
-            reference.sort_by(|a, b| a.total_cmp(b));
-            if sorted != reference {
-                return Err("samplesort: output does not match the serial sort".into());
-            }
-            (digest_f64s(&sorted), true, profile)
-        }
-        "stencil" => {
-            // Deterministic decomposition rule: 2-D blocks when p is a
-            // perfect square dividing the grid, 1-D row slabs otherwise
-            // — a pure function of (n, p), so the cache key needs no
-            // extra word.
-            let q = (p as f64).sqrt().round() as usize;
-            let decomp = if q * q == p && q > 0 && n.is_multiple_of(q) {
-                Decomp::TwoD
-            } else {
-                Decomp::OneD
-            };
-            let grid = random_grid(n, key.seed);
-            let (out, profile) = halo_stencil(
-                &grid,
-                n,
-                key.halo as usize,
-                key.iters as usize,
-                decomp,
-                p,
-                cfg,
-            )
-            .map_err(|e| e.to_string())?;
-            // Verified in-run, bit-for-bit: identical (di, dj) update
-            // order makes the distributed sweep reproduce the serial
-            // one exactly, not approximately.
-            let reference = serial_stencil(&grid, n, key.halo as usize, key.iters as usize);
-            if out != reference {
-                return Err("stencil: output does not match the serial sweep".into());
-            }
-            (digest_f64s(&out), true, profile)
-        }
-        other => {
-            return Err(format!(
-                "unknown simulator algorithm `{other}` \
-                 (mm25d|mm25d-abft|summa|summa-abft|cannon|nbody|samplesort|stencil)"
-            ));
-        }
+    let shape = Shape {
+        c: key.c,
+        f: key.f,
+        halo: key.halo,
+        iters: key.iters,
+        seed: key.seed,
+        ..Shape::new(key.n, key.p)
     };
+    let run = catalog::simulate(&key.alg, &shape, cfg)?;
+    if !run.verified {
+        return Err(format!(
+            "{}: output does not match the sequential reference",
+            key.alg
+        ));
+    }
+    let profile = run.profile;
 
     let m = match registry {
         Some(reg) => {
@@ -336,7 +199,7 @@ fn execute_simulate(
     };
     Ok(RunResult {
         feasible: true,
-        verified,
+        verified: true,
         time: m.time,
         energy: m.energy,
         flops: profile.total_flops() as f64,
@@ -347,14 +210,16 @@ fn execute_simulate(
         checkpoint_words: profile.per_rank.iter().map(|r| r.checkpoint_words).sum(),
         resilience_words: profile.resilience_words(),
         resilience_msgs: profile.resilience_msgs(),
-        output_digest,
+        output_digest: run.output_digest,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psse_core::costs::ClassicalMatMul;
     use psse_core::machines::jaketown;
+    use psse_core::optimize::nbody::NBodyOptimizer;
     use psse_core::params::MachineParams;
 
     fn contrived() -> MachineParams {
@@ -417,6 +282,26 @@ mod tests {
         assert!(execute(&key).unwrap_err().contains("unknown model"));
         let key = RunKey::simulate("nope", 64, 4, jaketown());
         assert!(execute(&key).unwrap_err().contains("unknown simulator"));
+    }
+
+    #[test]
+    fn nbody_key_whose_team_count_does_not_divide_p_fails() {
+        let spec = "kind = simulate\nalg = nbody\nn = 64\nc = 4\np = 16,18\n";
+        let keys = crate::spec::SweepSpec::parse(spec).unwrap().expand();
+        assert!(execute(&keys[0]).unwrap().verified);
+        let err = execute(&keys[1]).unwrap_err();
+        assert!(err.contains("--c 4 must divide --p 18"), "{err}");
+    }
+
+    #[test]
+    fn summa_key_runs_the_catalog_row_with_its_default_panel() {
+        let r = execute(&RunKey::simulate("summa", 64, 16, jaketown())).unwrap();
+        assert!(r.verified);
+        let shape = psse_algos::catalog::Shape::new(64, 16);
+        let cfg = sim_config_from(&jaketown());
+        let run = psse_algos::catalog::simulate("summa", &shape, cfg).unwrap();
+        assert_eq!(r.msgs, run.profile.total_msgs_sent() as f64);
+        assert_eq!(r.output_digest, run.output_digest);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::str::FromStr;
 
 use psse_core::machines::{cloud_instance, cluster_node, embedded_soc, jaketown};
-use psse_core::params::MachineParams;
+use psse_core::params::{MachineParams, ParamField};
 use psse_sim::prelude::{CheckpointPolicy, FaultPlan, FaultSpec, RecoveryPolicy};
 use psse_sim::Backend;
 
@@ -81,19 +81,6 @@ pub struct SweepSpec {
     /// [`RunKey`], so cache slots track edits to the file.
     pub kernel: Option<String>,
 }
-
-const MACHINE_KEYS: [&str; 10] = [
-    "gamma-t",
-    "beta-t",
-    "alpha-t",
-    "gamma-e",
-    "beta-e",
-    "alpha-e",
-    "delta-e",
-    "epsilon-e",
-    "max-message",
-    "mem-words",
-];
 
 const FAULT_KEYS: [&str; 10] = [
     "fault-seed",
@@ -209,7 +196,7 @@ impl SweepSpec {
         let mut kind: Option<RunKind> = None;
         let mut alg: Option<String> = None;
         let mut machine_name = String::from("jaketown");
-        let mut overrides: Vec<(usize, f64)> = Vec::new(); // (MACHINE_KEYS index, value)
+        let mut overrides: Vec<(ParamField, f64)> = Vec::new();
         let mut n = vec![];
         let mut p = vec![];
         let mut c = vec![1u64];
@@ -322,8 +309,8 @@ impl SweepSpec {
                     }
                 }
                 _ => {
-                    if let Some(idx) = MACHINE_KEYS.iter().position(|k| *k == key) {
-                        overrides.push((idx, scalar(value)?));
+                    if let Some((_, field)) = MachineParams::OVERRIDES.iter().find(|o| o.0 == key) {
+                        overrides.push((*field, scalar(value)?));
                     } else if let Some(idx) = FAULT_KEYS.iter().position(|k| *k == key) {
                         fault_vals.push((idx, scalar(value)?));
                     } else {
@@ -363,19 +350,8 @@ impl SweepSpec {
         }
 
         let mut machine = machine_preset(&machine_name).expect("validated above");
-        for (idx, v) in overrides {
-            match idx {
-                0 => machine.gamma_t = v,
-                1 => machine.beta_t = v,
-                2 => machine.alpha_t = v,
-                3 => machine.gamma_e = v,
-                4 => machine.beta_e = v,
-                5 => machine.alpha_e = v,
-                6 => machine.delta_e = v,
-                7 => machine.epsilon_e = v,
-                8 => machine.max_message_words = v,
-                _ => machine.mem_words = v,
-            }
+        for (field, v) in overrides {
+            *field(&mut machine) = v;
         }
         machine
             .validate()
