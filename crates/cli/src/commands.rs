@@ -11,8 +11,8 @@ use psse_core::params::MachineParams;
 use psse_core::tech_scaling::{fig6_series, multiplier_for_target, CaseStudy};
 use psse_hbl::prelude::{derive, Derived, Family, Kernel, KernelCost};
 use psse_lab::prelude::{
-    detect_scaling_range, fsck_dir, gc_dir, pareto_csv, spec_digest, sweep_csv, GcConfig, Journal,
-    Lab, LabConfig, RunKey, SweepSpec,
+    detect_scaling_range, fsck_dir, gc_dir, pareto_csv, scaling_groups, spec_digest, sweep_csv,
+    GcConfig, Journal, Lab, LabConfig, RunKey, SweepSpec,
 };
 use psse_trace::Trace;
 use std::fmt::Write as _;
@@ -1034,28 +1034,9 @@ fn lab_gc(args: &Args, out: &mut String) -> CmdResult {
 /// Per-(n, c, M) perfect-strong-scaling detection over the feasible
 /// samples of a sweep (paper §III: T ∝ 1/p at constant E).
 fn lab_scaling_report(sweep: &psse_lab::SweepResults, out: &mut String) {
-    let mut groups: Vec<(u64, u64, u64)> = Vec::new();
-    for key in &sweep.keys {
-        let g = (key.n, key.c, key.mem.to_bits());
-        if !groups.contains(&g) {
-            groups.push(g);
-        }
-    }
-    for (n, c, mem_bits) in groups {
-        let mut samples: Vec<(u64, f64, f64)> = sweep
-            .keys
-            .iter()
-            .zip(&sweep.results)
-            .filter(|(k, _)| k.n == n && k.c == c && k.mem.to_bits() == mem_bits)
-            .filter_map(|(k, r)| {
-                let r = r.as_ref().ok()?;
-                r.feasible.then_some((k.p, r.time, r.energy))
-            })
-            .collect();
-        samples.sort_by_key(|&(p, _, _)| p);
-        samples.dedup_by_key(|&mut (p, _, _)| p);
-        let label = format!("n = {n}, M = {}", fmt(f64::from_bits(mem_bits)));
-        match detect_scaling_range(&samples, 1e-9) {
+    for g in scaling_groups(&sweep.keys, &sweep.results) {
+        let label = format!("n = {}, M = {}", g.n, fmt(g.mem));
+        match detect_scaling_range(&g.samples, 1e-9) {
             Some(r) => {
                 let _ = writeln!(
                     out,

@@ -241,9 +241,13 @@ impl ResultCache {
             .map_err(|e| format!("create cache dir {}: {e}", dir.display()))?;
         let path = Self::record_path(dir, digest);
         // Write-then-rename so a concurrent reader never sees a
-        // truncated record; names include the digest so two writers
-        // of the same key write identical bytes anyway.
-        let tmp = dir.join(format!("{digest}.tmp{}", std::process::id()));
+        // truncated record. Every write gets its own temp file (pid
+        // plus a process-wide sequence number): two workers persisting
+        // the same digest each rename their own identical bytes into
+        // place instead of racing on one temp name.
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!("{digest}.tmp{}-{seq}", std::process::id()));
         std::fs::write(&tmp, encode_record(digest, result))
             .map_err(|e| format!("write {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &path).map_err(|e| format!("rename {}: {e}", path.display()))?;
@@ -677,6 +681,38 @@ mod tests {
             fsck_dir(&dir.join("nope"), false).unwrap(),
             FsckReport::default()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_digest_all_reach_disk() {
+        // Workers persisting the same digest at the same instant must
+        // not race on a shared temp file: every put succeeds, the
+        // record decodes, and the disk layer stays alive afterwards.
+        let dir = std::env::temp_dir().join(format!("psse-lab-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::new(16, Some(dir.clone()));
+        let threads = 4;
+        let barrier = std::sync::Barrier::new(threads);
+        for round in 0..100 {
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(|| {
+                        barrier.wait();
+                        assert_eq!(cache.put("abcd", r(1.0)), Ok(()), "round {round}");
+                    });
+                }
+            });
+        }
+        let text = std::fs::read_to_string(dir.join("abcd.rec")).unwrap();
+        assert_eq!(decode_record("abcd", &text), Some(r(1.0)));
+        cache.put("ef01", r(2.0)).unwrap();
+        assert!(dir.join("ef01.rec").exists(), "disk layer still alive");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(names.iter().all(|n| n.ends_with(".rec")), "{names:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,5 +1,6 @@
-//! Crash-safe sweep journal: one self-checksummed line per completed
-//! run, so an interrupted sweep resumes instead of restarting.
+//! Crash-safe sweep journal: one self-checksummed line per distinct
+//! completed run digest, so an interrupted sweep resumes instead of
+//! restarting.
 //!
 //! # Format
 //!
@@ -21,12 +22,18 @@
 //! are journaled — failures re-execute on resume, which is exactly what
 //! a crashed or timed-out key needs.
 //!
+//! A journal remembers every digest it holds, replayed or written, and
+//! records each one once: duplicate keys within a sweep and hits on
+//! replayed results append nothing, so resuming a complete journal
+//! appends nothing. A digest is durable from its first completion,
+//! which is all a resume needs.
+//!
 //! Replayed results seed the lab's in-memory cache, so the resumed
 //! sweep recomputes only what is missing and the final CSV is
 //! byte-identical to an uninterrupted run (results round-trip through
 //! the same exact-bits `v1` encoding the disk cache uses).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -100,8 +107,14 @@ fn parse_run_line(line: &str) -> Option<(String, RunResult)> {
 /// written with a single `write_all` under a lock.
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<std::fs::File>,
+    file: Mutex<Appender>,
     write_failed: AtomicBool,
+}
+
+/// The open file and the digests it already holds, under one lock.
+struct Appender {
+    file: std::fs::File,
+    written: HashSet<String>,
 }
 
 impl std::fmt::Debug for Journal {
@@ -111,6 +124,14 @@ impl std::fmt::Debug for Journal {
 }
 
 impl Journal {
+    fn new(path: &Path, file: std::fs::File, written: HashSet<String>) -> Journal {
+        Journal {
+            path: path.to_path_buf(),
+            file: Mutex::new(Appender { file, written }),
+            write_failed: AtomicBool::new(false),
+        }
+    }
+
     /// Start a fresh journal at `path` for the sweep identified by
     /// `spec` (see [`spec_digest`]): truncates whatever was there and
     /// writes the header.
@@ -119,11 +140,7 @@ impl Journal {
             .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
         file.write_all(header_line(spec).as_bytes())
             .map_err(|e| format!("cannot write journal header {}: {e}", path.display()))?;
-        Ok(Journal {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-            write_failed: AtomicBool::new(false),
-        })
+        Ok(Journal::new(path, file, HashSet::new()))
     }
 
     /// Resume from an existing journal: validate the header against
@@ -194,30 +211,38 @@ impl Journal {
             .open(path)
             .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
         file.flush().ok();
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file: Mutex::new(file),
-                write_failed: AtomicBool::new(false),
-            },
-            replayed,
-        ))
+        let written = replayed.keys().cloned().collect();
+        Ok((Journal::new(path, file, written), replayed))
     }
 
-    /// Append one completed run. Best-effort: a write failure warns
-    /// once on stderr and the sweep continues (the journal is a
-    /// recovery aid, not a correctness dependency).
+    /// Append one completed run, unless the journal already holds its
+    /// digest: one line per distinct completed run digest, so resuming
+    /// a complete journal appends nothing. Best-effort: a write failure
+    /// warns once on stderr and the sweep continues (the journal is a
+    /// recovery aid, not a correctness dependency); the digest is then
+    /// tried again on its next completion.
     pub fn record(&self, digest: &str, result: &RunResult) {
+        let mut out = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        if out.written.contains(digest) {
+            return;
+        }
         let line = run_line(digest, result);
-        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        let wrote = file.write_all(line.as_bytes()).and_then(|()| file.flush());
-        if let Err(e) = wrote {
-            if !self.write_failed.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: journal {} stopped accepting writes ({e}); \
-                     a crash from here on will not be resumable",
-                    self.path.display()
-                );
+        let wrote = out
+            .file
+            .write_all(line.as_bytes())
+            .and_then(|()| out.file.flush());
+        match wrote {
+            Ok(()) => {
+                out.written.insert(digest.to_string());
+            }
+            Err(e) => {
+                if !self.write_failed.swap(true, Ordering::Relaxed) {
+                    eprintln!(
+                        "warning: journal {} stopped accepting writes ({e}); \
+                         a crash from here on will not be resumable",
+                        self.path.display()
+                    );
+                }
             }
         }
     }

@@ -136,9 +136,11 @@ impl Lab {
     }
 
     /// Attach a sweep journal: every successful run (fresh or cached)
-    /// is appended as a checksummed line, so a killed process resumes
-    /// via [`Lab::seed`] + [`journal::Journal::open_resume`] instead of
-    /// restarting.
+    /// whose digest the journal does not yet hold is appended as a
+    /// checksummed line — one line per distinct completed run digest —
+    /// so a killed process resumes via [`Lab::seed`] +
+    /// [`journal::Journal::open_resume`] instead of restarting, and
+    /// resuming a complete journal appends nothing.
     pub fn set_journal(&mut self, journal: journal::Journal) {
         self.journal = Some(journal);
     }
@@ -329,7 +331,8 @@ pub mod prelude {
     pub use crate::journal::{spec_digest, Journal};
     pub use crate::key::{RunKey, RunKind};
     pub use crate::pareto::{
-        detect_scaling_range, pareto_indices, pareto_indices_naive, DetectedRange,
+        detect_scaling_range, pareto_indices, pareto_indices_naive, scaling_groups, DetectedRange,
+        ScalingGroup,
     };
     pub use crate::result::{digest_f64s, line_checksum, RunResult};
     pub use crate::runner::{execute, execute_into, execute_watched, model_algorithm};

@@ -13,6 +13,13 @@
 //! `p`-ladder for the longest contiguous chain where `p·T` and `E` are
 //! constant within a relative tolerance; callers cross-check the result
 //! against the closed-form [`ScalingRange`](psse_core::bounds::ScalingRange).
+//! [`scaling_groups`] cuts a sweep into the fixed-`(n, c, M)` sample
+//! ladders the detector reads.
+
+use std::collections::HashMap;
+
+use crate::key::RunKey;
+use crate::result::RunResult;
 
 /// Indices of Pareto-optimal points (minimizing both coordinates),
 /// ascending. Non-finite points never make the frontier.
@@ -112,6 +119,51 @@ pub fn detect_scaling_range(samples: &[(u64, f64, f64)], rel_tol: f64) -> Option
     })
 }
 
+/// The feasible samples of a sweep at one `(n, c, M)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScalingGroup {
+    /// Problem size.
+    pub n: u64,
+    /// Replication factor.
+    pub c: u64,
+    /// Memory per processor (`0` = minimal, as in the key).
+    pub mem: f64,
+    /// `(p, time, energy)` of the feasible successful runs, ascending
+    /// in `p`; of several runs at one `p` the first in key order is
+    /// kept. Ready for [`detect_scaling_range`].
+    pub samples: Vec<(u64, f64, f64)>,
+}
+
+/// Group a sweep by `(n, c, M)` (with `M` compared by its bits) in one
+/// pass over `(key, result)`. Groups come in first-appearance order of
+/// their keys, including groups with no feasible sample.
+pub fn scaling_groups(keys: &[RunKey], results: &[Result<RunResult, String>]) -> Vec<ScalingGroup> {
+    let mut index: HashMap<(u64, u64, u64), usize> = HashMap::new();
+    let mut groups: Vec<ScalingGroup> = Vec::new();
+    for (k, r) in keys.iter().zip(results) {
+        let g = *index.entry((k.n, k.c, k.mem.to_bits())).or_insert_with(|| {
+            groups.push(ScalingGroup {
+                n: k.n,
+                c: k.c,
+                mem: k.mem,
+                samples: Vec::new(),
+            });
+            groups.len() - 1
+        });
+        if let Ok(r) = r {
+            if r.feasible {
+                groups[g].samples.push((k.p, r.time, r.energy));
+            }
+        }
+    }
+    for g in &mut groups {
+        // Stable sort: the first run at each p survives the dedup.
+        g.samples.sort_by_key(|&(p, _, _)| p);
+        g.samples.dedup_by_key(|&mut (p, _, _)| p);
+    }
+    groups
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,5 +252,70 @@ mod tests {
                 p_max: 64
             }
         );
+    }
+
+    /// Reference grouping by the plain per-group filter: collect the
+    /// groups, then rescan every key for each one (O(groups · keys)).
+    fn scaling_groups_by_rescan(
+        keys: &[RunKey],
+        results: &[Result<RunResult, String>],
+    ) -> Vec<ScalingGroup> {
+        let mut groups: Vec<(u64, u64, u64)> = Vec::new();
+        for k in keys {
+            let g = (k.n, k.c, k.mem.to_bits());
+            if !groups.contains(&g) {
+                groups.push(g);
+            }
+        }
+        groups
+            .into_iter()
+            .map(|(n, c, mem)| {
+                let mut samples: Vec<(u64, f64, f64)> = keys
+                    .iter()
+                    .zip(results)
+                    .filter(|(k, _)| k.n == n && k.c == c && k.mem.to_bits() == mem)
+                    .filter_map(|(k, r)| {
+                        let r = r.as_ref().ok()?;
+                        r.feasible.then_some((k.p, r.time, r.energy))
+                    })
+                    .collect();
+                samples.sort_by_key(|&(p, _, _)| p);
+                samples.dedup_by_key(|&mut (p, _, _)| p);
+                ScalingGroup {
+                    n,
+                    c,
+                    mem: f64::from_bits(mem),
+                    samples,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_groups_match_the_per_group_rescan() {
+        use psse_core::machines::jaketown;
+        // Keys in a scrambled order over two n, two c and three M
+        // (0.0 and -0.0 differ by bits), with repeated p, failures and
+        // infeasible runs; times differ per key so a wrong pick shows.
+        let mut keys = Vec::new();
+        let mut results = Vec::new();
+        for i in 0..240u64 {
+            let mut k = RunKey::model("nbody", [1000, 2000][(i % 2) as usize], 0, jaketown());
+            k.c = 1 + (i / 2) % 2;
+            k.mem = [0.0, -0.0, 5e3][((i * 7) % 3) as usize];
+            k.p = 1 + (i * 37) % 17;
+            let t = 1.0 + i as f64;
+            results.push(match i % 5 {
+                0 => Err(format!("failed {i}")),
+                1 => Ok(RunResult::model(false, t, t, 1.0)),
+                _ => Ok(RunResult::model(true, t, 2.0 * t, 1.0)),
+            });
+            keys.push(k);
+        }
+        let got = scaling_groups(&keys, &results);
+        assert_eq!(got, scaling_groups_by_rescan(&keys, &results));
+        assert_eq!(got.len(), 12);
+        assert!(got.iter().all(|g| !g.samples.is_empty()));
+        assert!(scaling_groups(&[], &[]).is_empty());
     }
 }

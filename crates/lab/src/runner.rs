@@ -6,7 +6,8 @@
 //! matmul reproduce the exact float paths of the figure benches (their
 //! §V closed forms) and a sweep routed through the lab regenerates
 //! checked-in CSVs byte-identically; HBL `kernel =` keys take the same
-//! path with a derived model. Simulator runs execute the real
+//! path with a derived model, derived once per process by
+//! [`kernel_cost`]. Simulator runs execute the real
 //! distributed algorithm on the virtual machine, check it against the
 //! sequential reference and price the recorded
 //! [`Profile`](psse_sim::prelude::Profile).
@@ -14,8 +15,9 @@
 use psse_algos::catalog::{self, Shape};
 use psse_algos::prelude::{measure, measure_into, sim_config_from};
 use psse_core::costs::Algorithm;
-use psse_hbl::prelude::{derive, Kernel};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use psse_hbl::prelude::{derive, Kernel, KernelCost};
+use std::collections::HashMap;
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use crate::key::{RunKey, RunKind};
 use crate::result::RunResult;
@@ -38,6 +40,31 @@ pub fn model_algorithm(
             ..Shape::new(0, 0)
         },
     )
+}
+
+/// The cost model an HBL kernel text derives to. Each distinct text is
+/// parsed and derived at most once per process — spec validation and
+/// every `kernel =` key of every sweep share one `Arc` — and a text
+/// that fails keeps its error string. Derivation is deterministic, so
+/// a memoized model prices bit-identically to a fresh [`derive()`].
+/// The memo is never trimmed: a process meets a handful of kernels.
+pub fn kernel_cost(text: &str) -> Result<Arc<KernelCost>, String> {
+    type Memo = Mutex<HashMap<String, Result<Arc<KernelCost>, String>>>;
+    static MEMO: OnceLock<Memo> = OnceLock::new();
+    let mut memo = MEMO
+        .get_or_init(Memo::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(known) = memo.get(text) {
+        return known.clone();
+    }
+    // Derived under the lock, so concurrent first keys derive once.
+    let derived = Kernel::parse(text)
+        .and_then(|kernel| derive(&kernel))
+        .map(|(cost, _)| Arc::new(cost))
+        .map_err(|e| e.to_string());
+    memo.insert(text.to_string(), derived.clone());
+    derived
 }
 
 /// Execute one run. Deterministic: equal keys produce equal results,
@@ -131,9 +158,8 @@ fn execute_model(key: &RunKey) -> Result<RunResult, String> {
     let (derived, table);
     let alg: &dyn Algorithm = match &key.kernel {
         Some(text) => {
-            let kernel = Kernel::parse(text).map_err(|e| e.to_string())?;
-            derived = derive(&kernel).map_err(|e| e.to_string())?.0;
-            &derived
+            derived = kernel_cost(text)?;
+            derived.as_ref()
         }
         None => {
             table = model_algorithm(&key.alg, key.f, key.halo, key.iters)?;

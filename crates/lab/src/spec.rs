@@ -237,15 +237,14 @@ impl SweepSpec {
                     // Read and fully validate the kernel file now, so a
                     // bad path or a malformed loop nest surfaces with
                     // this spec line (plus the kernel's own line number)
-                    // instead of failing every expanded run later.
+                    // instead of failing every expanded run later. The
+                    // derived model is memoized, so the runs reuse it.
                     let text = std::fs::read_to_string(value).map_err(|e| {
                         LabError::spec(lineno, format!("cannot read kernel file `{value}`: {e}"))
                     })?;
-                    let parsed = psse_hbl::prelude::Kernel::parse(&text)
+                    let cost = crate::runner::kernel_cost(&text)
                         .map_err(|e| LabError::spec(lineno, format!("{value}: {e}")))?;
-                    psse_hbl::prelude::derive(&parsed)
-                        .map_err(|e| LabError::spec(lineno, format!("{value}: {e}")))?;
-                    kernel = Some((lineno, parsed.name.clone(), text));
+                    kernel = Some((lineno, cost.kernel_name().to_string(), text));
                 }
                 "machine" => {
                     if machine_preset(value).is_none() {

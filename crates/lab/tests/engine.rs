@@ -215,3 +215,87 @@ fn profiled_sweep_surfaces_event_engine_health() {
         .expect("event.slab.live gauge value");
     assert!(live > 0, "slab high-water mark should be non-zero: {live}");
 }
+
+/// The key digests of a journal's `run` lines, in file order.
+fn journaled_digests(path: &std::path::Path) -> Vec<String> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .filter_map(|l| l.strip_prefix("run ")?.split(' ').next().map(String::from))
+        .collect()
+}
+
+#[test]
+fn journal_holds_one_line_per_distinct_digest() {
+    let dir = std::env::temp_dir().join(format!("psse-lab-jdup-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("dup.journal");
+    // Every key three times: adjacent, then again after the whole list.
+    let base = SweepSpec::parse(SPEC).unwrap().expand();
+    let mut keys: Vec<RunKey> = base.iter().flat_map(|k| [k.clone(), k.clone()]).collect();
+    keys.extend(base.iter().cloned());
+    let mut engine = lab(4, None);
+    engine.set_journal(Journal::create(&path, &spec_digest(&keys)).unwrap());
+    assert!(engine.run_keys(&keys).iter().all(|r| r.is_ok()));
+    drop(engine);
+    let lines = journaled_digests(&path);
+    let distinct: std::collections::HashSet<String> = base.iter().map(|k| k.digest()).collect();
+    assert_eq!(lines.len(), distinct.len(), "one line per distinct digest");
+    let written: std::collections::HashSet<String> = lines.into_iter().collect();
+    assert_eq!(written, distinct);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resuming_a_complete_journal_appends_nothing() {
+    let dir = std::env::temp_dir().join(format!("psse-lab-jfull-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("full.journal");
+    let spec = SweepSpec::parse(SPEC).unwrap();
+    let sd = spec_digest(&spec.expand());
+    let mut first = lab(2, None);
+    first.set_journal(Journal::create(&path, &sd).unwrap());
+    let reference = first.run_spec(&spec);
+    drop(first);
+    let complete = std::fs::read(&path).unwrap();
+    for _ in 0..2 {
+        let (journal, replayed) = Journal::open_resume(&path, &sd).unwrap();
+        let mut resumed = lab(2, None);
+        resumed.seed(&replayed);
+        resumed.set_journal(journal);
+        assert_eq!(resumed.run_spec(&spec).results, reference.results);
+        drop(resumed);
+        assert_eq!(std::fs::read(&path).unwrap(), complete, "journal grew");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn persistent_cache_hits_are_journaled_once() {
+    // Results served from a warm `cache_dir` are completions the fresh
+    // journal has never seen: each must still land in it, once.
+    let dir = std::env::temp_dir().join(format!("psse-lab-jcache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.join("cache");
+    let spec = SweepSpec::parse(SPEC).unwrap();
+    let keys = spec.expand();
+    assert_eq!(lab(2, Some(cache.clone())).run_spec(&spec).failures(), 0);
+
+    let path = dir.join("warm.journal");
+    let mut warm = lab(2, Some(cache.clone()));
+    warm.set_journal(Journal::create(&path, &spec_digest(&keys)).unwrap());
+    let sweep = warm.run_spec(&spec);
+    assert_eq!(warm.cache_stats().misses, 0, "every key served from disk");
+    drop(warm);
+    let distinct: std::collections::HashSet<String> = keys.iter().map(|k| k.digest()).collect();
+    let lines = journaled_digests(&path);
+    assert_eq!(lines.len(), distinct.len());
+
+    // The journal alone now resumes the sweep, with no cache at all.
+    let (_, replayed) = Journal::open_resume(&path, &spec_digest(&keys)).unwrap();
+    assert_eq!(replayed.len(), distinct.len());
+    for (key, result) in keys.iter().zip(&sweep.results) {
+        assert_eq!(replayed.get(&key.digest()), result.as_ref().ok());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

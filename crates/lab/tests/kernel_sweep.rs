@@ -8,10 +8,28 @@
 use psse_lab::prelude::*;
 
 fn kernel_path() -> String {
+    shipped_kernel("matmul")
+}
+
+fn shipped_kernel(name: &str) -> String {
     format!(
-        "{}/../../specs/kernels/matmul.kernel",
+        "{}/../../specs/kernels/{name}.kernel",
         env!("CARGO_MANIFEST_DIR")
     )
+}
+
+/// Price a `kernel =` key with a freshly parsed and derived model, the
+/// way the runner prices it: the reference a memoized model must match.
+fn price_with_fresh_derive(key: &RunKey) -> RunResult {
+    use psse_core::costs::Algorithm;
+    let kernel = psse_hbl::prelude::Kernel::parse(key.kernel.as_deref().unwrap()).unwrap();
+    let alg = psse_hbl::prelude::derive(&kernel).unwrap().0;
+    let (lo, hi) = alg.memory_range(key.n, key.p).unwrap();
+    let mem = if key.mem == 0.0 { lo } else { key.mem };
+    let cfg = alg.evaluate_point(&key.machine, key.n, key.p, mem).unwrap();
+    let mut r = RunResult::model((lo..=hi).contains(&mem), cfg.time, cfg.energy, mem);
+    r.flops = alg.total_flops(key.n);
+    r
 }
 
 const GRID: &str = "n = 1024\np = pow2:4:32\nmem = geomf:2e4:3e5:4\n";
@@ -63,4 +81,53 @@ fn kernel_sweep_minimal_memory_sentinel_matches_too() {
         assert_eq!(a.energy.to_bits(), b.energy.to_bits());
         assert_eq!(a.feasible, b.feasible);
     }
+}
+
+#[test]
+fn interleaved_kernels_price_like_a_fresh_derive() {
+    // Keys of two kernels, and of a third text that reuses the name
+    // `matmul` with a different flop count, alternate in one list run
+    // by two workers: a memo keyed on anything but the full kernel text
+    // would hand some key another kernel's model.
+    let dir = std::env::temp_dir().join(format!("psse-kernel-memo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let renamed = dir.join("matmul2.kernel");
+    let text = std::fs::read_to_string(kernel_path()).unwrap();
+    std::fs::write(
+        &renamed,
+        text.replace("kernel = matmul", "kernel = matmul\nflops-per-iter = 3"),
+    )
+    .unwrap();
+    let grid = "n = 4096\np = pow2:4:64\nmem = 0,geomf:2e5:3e7:3\n";
+    let lists: Vec<Vec<RunKey>> = [shipped_kernel("matmul"), shipped_kernel("nbody")]
+        .into_iter()
+        .chain([renamed.display().to_string()])
+        .map(|path| {
+            SweepSpec::parse(&format!("kind = model\nkernel = {path}\n{grid}"))
+                .unwrap()
+                .expand()
+        })
+        .collect();
+    let mut keys = Vec::new();
+    for i in 0..lists[0].len() {
+        keys.extend(lists.iter().map(|l| l[i].clone()));
+    }
+    let lab = Lab::new(LabConfig {
+        jobs: 2,
+        ..LabConfig::default()
+    });
+    let results = lab.run_keys(&keys);
+    let mut by_text = std::collections::HashSet::new();
+    for (key, got) in keys.iter().zip(&results) {
+        let want = price_with_fresh_derive(key);
+        assert_eq!(
+            got.as_ref().unwrap().to_line(),
+            want.to_line(),
+            "{}",
+            key.label()
+        );
+        by_text.insert(want.flops.to_bits());
+    }
+    assert_eq!(by_text.len(), 3, "the three kernels price apart");
+    let _ = std::fs::remove_dir_all(&dir);
 }
