@@ -835,6 +835,8 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
         timeout,
         ..LabConfig::default()
     });
+    // The run list, expanded once for the journal and the sweep.
+    let keys = spec.expand();
     // `--journal FILE` appends one checksummed line per finished run;
     // `--resume` replays completed runs from it (skipping their
     // execution) before continuing the sweep.
@@ -842,7 +844,7 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     let journal_path = args.get("journal").filter(|v| !v.is_empty());
     match journal_path {
         Some(jp) => {
-            let sd = spec_digest(&spec.expand());
+            let sd = spec_digest(&keys);
             let journal = if args.has("resume") {
                 let (journal, replayed) = Journal::open_resume(std::path::Path::new(jp), &sd)?;
                 replayed_runs = replayed.len();
@@ -888,11 +890,16 @@ fn lab_run(args: &Args, out: &mut String) -> CmdResult {
     if let Some(jp) = journal_path {
         let _ = writeln!(out, "journal   : {jp} ({replayed_runs} runs replayed)");
     }
-    let (sweep, profile) = if profile_path.is_some() {
-        let (sweep, profile) = lab.run_spec_profiled(&spec);
-        (sweep, Some(profile))
+    let (results, profile) = if profile_path.is_some() {
+        let (results, profile) = lab.run_keys_profiled(&keys);
+        (results, Some(profile))
     } else {
-        (lab.run_spec(&spec), None)
+        (lab.run_keys(&keys), None)
+    };
+    let sweep = psse_lab::SweepResults {
+        keys,
+        results,
+        stats: lab.cache_stats(),
     };
     let (feasible, infeasible) = sweep.feasibility();
     let _ = writeln!(

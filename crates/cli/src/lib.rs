@@ -172,7 +172,8 @@ COMMANDS:
                       [--profile FILE|off] self-profile destination (default:
                                         <out>.profile.json, or
                                         <spec stem>.profile.json without --out)
-                      [--top K]         slowest keys shown in the profile (5)
+                      [--top K]         slowest keys shown in the profile
+                                        (default 5, clamped to the 32 kept)
                       [--journal FILE]  append one checksummed line per finished
                                         run; torn tails from a kill -9 are
                                         detected and truncated on resume
@@ -671,8 +672,8 @@ mod tests {
         assert!(f.lines().count() >= 2, "frontier should be non-empty: {f}");
 
         // The self-profiles land next to the CSVs by default and are
-        // structurally identical across --jobs: same runs in the same
-        // order, only the host timing values differ.
+        // structurally identical across --jobs: same key counts, same
+        // keys in the top list, only the host timing values differ.
         assert!(out.contains("self-profile:"), "{out}");
         assert!(out8.contains("worker utilization:"), "{out8}");
         let parse = |p: &std::path::Path| {
@@ -683,12 +684,16 @@ mod tests {
         let (p1, p8) = (parse(&csv1), parse(&csv8));
         assert_eq!(p1.jobs, 1);
         assert_eq!(p8.jobs, 8);
-        assert_eq!(p1.runs.len(), 32);
+        assert_eq!((p1.keys, p8.keys), (32, 32));
+        assert_eq!(p1.top.len(), psse_lab::selfprof::TOP_K.min(32));
         let keys = |p: &psse_lab::prelude::SweepProfile| -> Vec<(String, String)> {
-            p.runs
+            let mut k: Vec<(String, String)> = p
+                .top
                 .iter()
                 .map(|r| (r.label.clone(), r.digest.clone()))
-                .collect()
+                .collect();
+            k.sort();
+            k
         };
         assert_eq!(
             keys(&p1),
@@ -931,6 +936,32 @@ mod tests {
         assert!(call("lab frobnicate").is_err());
         assert!(call("lab run").is_err());
         assert!(call("lab run --spec /nonexistent/file.spec").is_err());
+    }
+
+    #[test]
+    fn lab_run_top_is_clamped_to_the_kept_keys() {
+        let top_k = psse_lab::selfprof::TOP_K;
+        assert!(HELP.contains(&format!("clamped to the {top_k} kept")));
+        let dir = std::env::temp_dir().join(format!("psse-cli-top-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("grid.spec");
+        std::fs::write(
+            &spec,
+            "kind = model\nalg = nbody\nn = 10000\np = geom:6:100:10\nmem = geomf:2e2:1e4:10\nf = 10\n",
+        )
+        .unwrap();
+        let profile = dir.join("grid.profile.json");
+        let out = call(&format!(
+            "lab run --spec {} --jobs 2 --top 1000 --profile {}",
+            spec.display(),
+            profile.display()
+        ))
+        .unwrap();
+        assert!(out.contains("self-profile: 100 runs"), "{out}");
+        assert!(out.contains(&format!("top {top_k} slowest keys:")), "{out}");
+        let text = std::fs::read_to_string(&profile).unwrap();
+        assert!(text.starts_with("{\"version\":2,"), "{text}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -35,11 +35,39 @@ pub fn unit_f64(x: u64) -> f64 {
 /// `hash_key(s, &[b, a])`.
 #[must_use]
 pub fn hash_key(seed: u64, parts: &[u64]) -> u64 {
-    let mut h = mix64(seed ^ GOLDEN);
+    let mut h = KeyHasher::new(seed);
     for &p in parts {
-        h = mix64(h.wrapping_add(GOLDEN) ^ mix64(p.wrapping_add(GOLDEN)));
+        h.push(p);
     }
-    h
+    h.finish()
+}
+
+/// [`hash_key`] one part at a time, for inputs too long to collect:
+/// `new(s)`, then `push` each part, then `finish` equals
+/// `hash_key(s, parts)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// Start a chain from `seed`.
+    #[inline]
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        KeyHasher(mix64(seed ^ GOLDEN))
+    }
+
+    /// Fold in the next part.
+    #[inline]
+    pub fn push(&mut self, part: u64) {
+        self.0 = mix64(self.0.wrapping_add(GOLDEN) ^ mix64(part.wrapping_add(GOLDEN)));
+    }
+
+    /// The hash of the parts pushed so far.
+    #[inline]
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A sequential splitmix64 stream (Steele, Lea & Flood 2014). Passes

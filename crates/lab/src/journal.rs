@@ -25,8 +25,18 @@
 //! A journal remembers every digest it holds, replayed or written, and
 //! records each one once: duplicate keys within a sweep and hits on
 //! replayed results append nothing, so resuming a complete journal
-//! appends nothing. A digest is durable from its first completion,
-//! which is all a resume needs.
+//! appends nothing.
+//!
+//! # Batching
+//!
+//! Workers format their lines outside the journal's lock; the journal
+//! collects them in one buffer and writes it with a single `write_all`
+//! once it passes 64 KiB, on [`Journal::flush`] (the lab calls
+//! it before a sweep returns) and on drop. A line is durable once its
+//! batch is written, not at its first completion: a kill loses at most
+//! the unwritten batch, and those keys simply re-execute on resume. A
+//! kill *during* a batch write leaves a torn tail, which replay
+//! truncates like any other.
 //!
 //! Replayed results seed the lab's in-memory cache, so the resumed
 //! sweep recomputes only what is missing and the final CSV is
@@ -34,29 +44,47 @@
 //! the same exact-bits `v1` encoding the disk cache uses).
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crate::key::RunKey;
-use crate::result::{line_checksum, RunResult};
+use crate::result::{line_checksum, LineHasher, RunResult};
 
 const HEADER_PREFIX: &str = "psse-lab-journal v1";
+
+/// Pending lines are written once the batch passes this many bytes.
+pub(crate) const BATCH_BYTES: usize = 64 * 1024;
 
 /// Digest of a sweep's identity: splitmix64 chains over the ordered
 /// run-key digests. Two sweeps share a journal iff they expand to the
 /// same keys in the same order.
+///
+/// The value is [`line_checksum`] of `"spec-hi "` (resp. `"spec-lo "`)
+/// followed by the key digests joined by single spaces; the digests
+/// are streamed through the checksum rather than joined first.
 pub fn spec_digest(keys: &[RunKey]) -> String {
-    let joined = keys
-        .iter()
-        .map(|k| k.digest())
-        .collect::<Vec<_>>()
-        .join(" ");
+    // Every run-key digest is 32 hex chars; both prefixes are 8 bytes.
+    const DIGEST_LEN: usize = 32;
+    let len = 8 + keys.len() * (DIGEST_LEN + 1) - usize::from(!keys.is_empty());
     // Two salted chains for 128 bits, like the run-key digest itself.
-    let hi = line_checksum(&format!("spec-hi {joined}"));
-    let lo = line_checksum(&format!("spec-lo {joined}"));
-    format!("{hi:016x}{lo:016x}")
+    let mut hi = LineHasher::new(len);
+    let mut lo = LineHasher::new(len);
+    hi.write(b"spec-hi ");
+    lo.write(b"spec-lo ");
+    for (i, key) in keys.iter().enumerate() {
+        let digest = key.digest();
+        assert_eq!(digest.len(), DIGEST_LEN, "run-key digests are 32 hex chars");
+        if i > 0 {
+            hi.write(b" ");
+            lo.write(b" ");
+        }
+        hi.write(digest.as_bytes());
+        lo.write(digest.as_bytes());
+    }
+    format!("{:016x}{:016x}", hi.finish(), lo.finish())
 }
 
 fn header_line(spec: &str) -> String {
@@ -80,8 +108,10 @@ fn parse_header(line: &str) -> Option<String> {
 }
 
 fn run_line(digest: &str, result: &RunResult) -> String {
-    let body = format!("run {digest} {}", result.to_line());
-    format!("{body} {:016x}\n", line_checksum(&body))
+    let mut line = format!("run {digest} {}", result.to_line());
+    let sum = line_checksum(&line);
+    let _ = writeln!(line, " {sum:016x}");
+    line
 }
 
 /// Parse a (newline-stripped) run line into `(key digest, result)`;
@@ -103,18 +133,20 @@ fn parse_run_line(line: &str) -> Option<(String, RunResult)> {
 }
 
 /// An append-only sweep journal (see the module docs for the format).
-/// Thread-safe: workers record completions concurrently; each line is
-/// written with a single `write_all` under a lock.
+/// Thread-safe: workers record completions concurrently; lines are
+/// written in batches, each with a single `write_all` under a lock.
 pub struct Journal {
     path: PathBuf,
     file: Mutex<Appender>,
     write_failed: AtomicBool,
 }
 
-/// The open file and the digests it already holds, under one lock.
+/// The open file, the digests it holds or will hold once the pending
+/// batch is written, and that batch, under one lock.
 struct Appender {
     file: std::fs::File,
     written: HashSet<String>,
+    batch: Vec<u8>,
 }
 
 impl std::fmt::Debug for Journal {
@@ -127,7 +159,11 @@ impl Journal {
     fn new(path: &Path, file: std::fs::File, written: HashSet<String>) -> Journal {
         Journal {
             path: path.to_path_buf(),
-            file: Mutex::new(Appender { file, written }),
+            file: Mutex::new(Appender {
+                file,
+                written,
+                batch: Vec::with_capacity(BATCH_BYTES + 1024),
+            }),
             write_failed: AtomicBool::new(false),
         }
     }
@@ -215,36 +251,75 @@ impl Journal {
         Ok((Journal::new(path, file, written), replayed))
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Appender> {
+        self.file.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Append one completed run, unless the journal already holds its
     /// digest: one line per distinct completed run digest, so resuming
-    /// a complete journal appends nothing. Best-effort: a write failure
-    /// warns once on stderr and the sweep continues (the journal is a
-    /// recovery aid, not a correctness dependency); the digest is then
-    /// tried again on its next completion.
+    /// a complete journal appends nothing. The line joins the pending
+    /// batch (see the module docs). Best-effort: a write failure warns
+    /// once on stderr and the sweep continues (the journal is a
+    /// recovery aid, not a correctness dependency); the digests of the
+    /// lost batch are then tried again on their next completion.
     pub fn record(&self, digest: &str, result: &RunResult) {
-        let mut out = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        if out.written.contains(digest) {
+        if self.lock().written.contains(digest) {
             return;
         }
+        // Formatting and checksumming happen outside the lock; a racing
+        // worker with the same digest loses at the insert below.
         let line = run_line(digest, result);
-        let wrote = out
-            .file
-            .write_all(line.as_bytes())
-            .and_then(|()| out.file.flush());
-        match wrote {
-            Ok(()) => {
-                out.written.insert(digest.to_string());
-            }
-            Err(e) => {
-                if !self.write_failed.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "warning: journal {} stopped accepting writes ({e}); \
-                         a crash from here on will not be resumable",
-                        self.path.display()
-                    );
+        let mut out = self.lock();
+        if !out.written.insert(digest.to_string()) {
+            return;
+        }
+        out.batch.extend_from_slice(line.as_bytes());
+        if out.batch.len() >= BATCH_BYTES {
+            self.write_batch(&mut out);
+        }
+    }
+
+    /// Write the pending batch now.
+    pub fn flush(&self) {
+        self.write_batch(&mut self.lock());
+    }
+
+    fn write_batch(&self, out: &mut Appender) {
+        if out.batch.is_empty() {
+            return;
+        }
+        let Appender {
+            file,
+            written,
+            batch,
+        } = out;
+        if let Err(e) = file.write_all(batch) {
+            // Forget the lost lines' digests so a later completion
+            // records them again.
+            for line in String::from_utf8_lossy(batch).lines() {
+                if let Some((digest, _)) = line.strip_prefix("run ").and_then(|l| l.split_once(' '))
+                {
+                    written.remove(digest);
                 }
             }
+            // Not `eprintln!`: this also runs from `Drop`, which must
+            // not panic if stderr is gone.
+            if !self.write_failed.swap(true, Ordering::Relaxed) {
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "warning: journal {} stopped accepting writes ({e}); \
+                     a crash from here on will not be resumable",
+                    self.path.display()
+                );
+            }
         }
+        batch.clear();
+    }
+}
+
+impl Drop for Journal {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -276,6 +351,56 @@ mod tests {
         rev.reverse();
         assert_ne!(spec_digest(&ks), spec_digest(&rev), "order matters");
         assert_ne!(spec_digest(&ks), spec_digest(&ks[1..]), "set matters");
+    }
+
+    #[test]
+    fn spec_digest_streams_the_joined_digests() {
+        // The joined-string definition the journal header has always
+        // used; the streaming implementation must keep its bits.
+        let joined_digest = |keys: &[RunKey]| {
+            let joined = keys
+                .iter()
+                .map(|k| k.digest())
+                .collect::<Vec<_>>()
+                .join(" ");
+            let hi = line_checksum(&format!("spec-hi {joined}"));
+            let lo = line_checksum(&format!("spec-lo {joined}"));
+            format!("{hi:016x}{lo:016x}")
+        };
+        let ks = keys();
+        for n in 0..=ks.len() {
+            assert_eq!(spec_digest(&ks[..n]), joined_digest(&ks[..n]), "n={n}");
+        }
+        // Pinned: the header digest of specs/ci_smoke.spec, so journals
+        // written by earlier builds keep resuming.
+        let smoke = crate::spec::SweepSpec::parse(include_str!("../../../specs/ci_smoke.spec"))
+            .unwrap()
+            .expand();
+        assert_eq!(spec_digest(&smoke), "0bde91aa8bb93d8c76144a89f7ebf665");
+    }
+
+    #[test]
+    fn lines_wait_for_a_full_batch_or_a_flush() {
+        let path = tmp("batch");
+        let spec = spec_digest(&keys());
+        let j = Journal::create(&path, &spec).unwrap();
+        let header = std::fs::metadata(&path).unwrap().len();
+        j.record("aaaa", &r(1.0));
+        j.record("aaaa", &r(1.0));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), header, "batched");
+        j.flush();
+        let one = std::fs::metadata(&path).unwrap().len();
+        assert!(one > header);
+        // A batch past BATCH_BYTES is written without a flush.
+        let line = (one - header) as usize;
+        for i in 0..=BATCH_BYTES / line {
+            j.record(&format!("{i:032x}"), &r(i as f64));
+        }
+        assert!(std::fs::metadata(&path).unwrap().len() >= one + BATCH_BYTES as u64);
+        drop(j);
+        let (_j, replayed) = Journal::open_resume(&path, &spec).unwrap();
+        assert_eq!(replayed.len(), 2 + BATCH_BYTES / line);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -140,7 +140,9 @@ impl Lab {
     /// checksummed line — one line per distinct completed run digest —
     /// so a killed process resumes via [`Lab::seed`] +
     /// [`journal::Journal::open_resume`] instead of restarting, and
-    /// resuming a complete journal appends nothing.
+    /// resuming a complete journal appends nothing. Lines are written
+    /// in batches; [`Lab::run_keys`] and [`Lab::run_keys_profiled`]
+    /// write the last batch before they return.
     pub fn set_journal(&mut self, journal: journal::Journal) {
         self.journal = Some(journal);
     }
@@ -213,74 +215,95 @@ impl Lab {
     /// (modulo benign races between workers — counters may vary, bytes
     /// never do).
     pub fn run_keys(&self, keys: &[RunKey]) -> Vec<Result<RunResult, String>> {
-        pool::run_ordered(self.jobs(), keys, |_, key| self.run_one(key, None).0)
+        let results = pool::run_ordered(self.jobs(), keys, |_, key| self.run_one(key, None).0);
+        self.flush_journal();
+        results
     }
 
-    /// [`Lab::run_keys`] plus a self-profile: host wall-clock per key,
-    /// per-worker busy spans, and the metrics registry the runs
-    /// exported into ([`runner::execute_into`]). Result bytes are
-    /// identical to the unprofiled path; the profile is a pure
-    /// side-channel.
+    /// Write the journal's pending batch, so every completed digest is
+    /// on disk once a sweep returns.
+    fn flush_journal(&self) {
+        if let Some(j) = &self.journal {
+            j.flush();
+        }
+    }
+
+    /// [`Lab::run_keys`] plus a self-profile: key wall-clock
+    /// histograms, the slowest keys, per-worker busy spans, and the
+    /// metrics registry the runs exported into
+    /// ([`runner::execute_into`]). Each worker tallies its own keys, so
+    /// the bookkeeping is O(1) per key and the profile's size does not
+    /// grow with the sweep. Result bytes are identical to the
+    /// unprofiled path; the profile is a pure side-channel.
     pub fn run_keys_profiled(
         &self,
         keys: &[RunKey],
     ) -> (Vec<Result<RunResult, String>>, selfprof::SweepProfile) {
         let registry = psse_metrics::Registry::new();
-        let (outcomes, pool_profile) = pool::run_ordered_timed(self.jobs(), keys, |_, key| {
-            self.run_one(key, Some(&registry))
-        });
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut cached = Vec::with_capacity(outcomes.len());
-        for (r, c) in outcomes {
-            results.push(r);
-            cached.push(c);
-        }
+        let (outcomes, pool_profile, tallies) = pool::run_ordered_observed(
+            self.jobs(),
+            keys,
+            |_, key| self.run_one(key, Some(&registry)),
+            |tally: &mut selfprof::WorkerTally, i, ns, (r, cached)| {
+                tally.observe(i, ns, *cached, r.is_ok());
+            },
+        );
+        self.flush_journal();
+        let results: Vec<Result<RunResult, String>> =
+            outcomes.into_iter().map(|(r, _)| r).collect();
         // Virtual-cost attribution per key *occurrence* — recorded from
-        // the results in spec order, so these series are identical
-        // whatever the worker count or cache temperature (unlike the
-        // execution-time `sim.*` exports; see the `selfprof` docs).
-        let h_time = registry.histogram("virt.time_ns").expect("fresh registry");
-        let h_energy = registry
-            .histogram("virt.energy_nj")
-            .expect("fresh registry");
-        let c_retries = registry.counter("virt.retries").expect("fresh registry");
-        let c_res_words = registry
-            .counter("virt.resilience.words")
-            .expect("fresh registry");
-        let c_res_msgs = registry
-            .counter("virt.resilience.msgs")
-            .expect("fresh registry");
+        // the results, so these series are identical whatever the
+        // worker count or cache temperature (unlike the execution-time
+        // `sim.*` exports; see the `selfprof` docs).
+        let mut time = psse_metrics::Histogram::new();
+        let mut energy = psse_metrics::Histogram::new();
+        let (mut retries, mut res_words, mut res_msgs) = (0u64, 0u64, 0u64);
         for r in results.iter().flatten() {
-            h_time.record_secs(r.time);
-            h_energy.record(psse_metrics::saturating_nanos(r.energy));
-            c_retries.add(r.retries);
-            c_res_words.add(r.resilience_words);
-            c_res_msgs.add(r.resilience_msgs);
+            time.record_secs(r.time);
+            energy.record(psse_metrics::saturating_nanos(r.energy));
+            retries = retries.wrapping_add(r.retries);
+            res_words = res_words.wrapping_add(r.resilience_words);
+            res_msgs = res_msgs.wrapping_add(r.resilience_msgs);
         }
+        let fresh = "fresh registry";
+        registry
+            .histogram("virt.time_ns")
+            .expect(fresh)
+            .merge(&time);
+        registry
+            .histogram("virt.energy_nj")
+            .expect(fresh)
+            .merge(&energy);
+        registry.counter("virt.retries").expect(fresh).add(retries);
+        registry
+            .counter("virt.resilience.words")
+            .expect(fresh)
+            .add(res_words);
+        registry
+            .counter("virt.resilience.msgs")
+            .expect(fresh)
+            .add(res_msgs);
         // Cache-integrity incidents surface in the metrics registry as
         // well as the summary line, so a service scraping profiles sees
         // quarantine events without parsing stderr.
         let cache_stats = self.cache.stats();
         registry
             .counter("cache.corrupt")
-            .expect("fresh registry")
+            .expect(fresh)
             .add(cache_stats.corrupt);
         registry
             .counter("cache.quarantined")
-            .expect("fresh registry")
+            .expect(fresh)
             .add(cache_stats.quarantined);
         // Event-engine health (scheduler overflow detours, mailbox slab
         // high-water/recycling) — process totals, exported once at
         // snapshot time so repeated sweeps never double-count. Zeros
         // when no event-backend run has executed in this process.
-        psse_event::export_health(&registry).expect("fresh registry");
-        let ok: Vec<bool> = results.iter().map(|r| r.is_ok()).collect();
-        let labels = keys.iter().map(|k| (k.label(), k.digest())).collect();
+        psse_event::export_health(&registry).expect(fresh);
         let profile = selfprof::SweepProfile::assemble(
             &pool_profile,
-            labels,
-            &cached,
-            &ok,
+            tallies,
+            keys,
             cache_stats,
             &registry.snapshot(),
         );
@@ -379,10 +402,15 @@ mod tests {
         let (profiled, profile) = lab.run_spec_profiled(&spec);
         assert_eq!(plain.results, profiled.results);
 
-        assert_eq!(profile.runs.len(), 8);
+        assert_eq!(profile.keys, 8);
+        assert_eq!((profile.cached, profile.failed), (0, 0));
+        assert_eq!(profile.executed_ns.count(), 8);
         assert_eq!(profile.workers.len(), 4);
-        // Labels follow spec order and none of these fresh runs cached.
-        for (run, key) in profile.runs.iter().zip(&profiled.keys) {
+        // Every key fits in the top list: labels and digests name the
+        // keys at their spec index, and none of these fresh runs cached.
+        assert_eq!(profile.top.len(), 8);
+        for run in &profile.top {
+            let key = &profiled.keys[run.index as usize];
             assert_eq!(run.label, key.label());
             assert_eq!(run.digest, key.digest());
             assert!(!run.cached);
@@ -392,14 +420,17 @@ mod tests {
         let virt = profile.metrics.get("virt.time_ns").expect("virt.time_ns");
         assert_eq!(virt.get("count").and_then(|v| v.as_u64()), Some(8));
         // Rerunning on the warm cache flips `cached` but keeps the key
-        // set and the virt.* sample count identical.
+        // set and the virt.* series identical.
         let (_, warm) = lab.run_spec_profiled(&spec);
-        assert!(warm.runs.iter().all(|r| r.cached));
-        let keys_cold: Vec<&str> = profile.runs.iter().map(|r| r.digest.as_str()).collect();
-        let keys_warm: Vec<&str> = warm.runs.iter().map(|r| r.digest.as_str()).collect();
-        assert_eq!(keys_cold, keys_warm);
-        let virt_warm = warm.metrics.get("virt.time_ns").expect("virt.time_ns");
-        assert_eq!(virt_warm.get("count").and_then(|v| v.as_u64()), Some(8));
+        assert_eq!((warm.keys, warm.cached), (8, 8));
+        assert!(warm.top.iter().all(|r| r.cached));
+        let digests = |p: &SweepProfile| {
+            let mut d: Vec<String> = p.top.iter().map(|r| r.digest.clone()).collect();
+            d.sort();
+            d
+        };
+        assert_eq!(digests(&profile), digests(&warm));
+        assert_eq!(warm.metrics.get("virt.time_ns"), Some(virt));
     }
 
     #[test]

@@ -51,10 +51,10 @@ where
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    run_ordered_timed(jobs, items, f).0
+    run_ordered_observed(jobs, items, f, |_: &mut (), _, _, _| {}).0
 }
 
-/// One worker's accounting over a [`run_ordered_timed`] call.
+/// One worker's accounting over a [`run_ordered_observed`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerSpan {
     /// Nanoseconds spent inside `f` (busy; the rest of the pool's wall
@@ -64,18 +64,17 @@ pub struct WorkerSpan {
     pub items: u64,
 }
 
-/// Host-side timing of one pool invocation: per-item wall-clock (input
-/// order) and per-worker busy spans. The *structure* — lengths, item
-/// order, worker count — is deterministic; only the nanosecond values
-/// vary between runs.
+/// Host-side timing of one pool invocation: the wall-clock of the
+/// whole call and per-worker busy spans. The *structure* — worker
+/// count — is deterministic; only the nanosecond values vary between
+/// runs. Per-item timing goes to the caller's observer instead (see
+/// [`run_ordered_observed`]), so the profile is O(jobs), not O(items).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PoolProfile {
     /// Worker threads actually used (after clamping to the item count).
     pub jobs: usize,
     /// Wall-clock of the whole map call, nanoseconds.
     pub wall_ns: u64,
-    /// Wall-clock per item in input order, nanoseconds.
-    pub item_ns: Vec<u64>,
     /// Per-worker busy time and item counts, indexed by worker id.
     pub workers: Vec<WorkerSpan>,
 }
@@ -94,27 +93,42 @@ impl PoolProfile {
     }
 }
 
-/// [`run_ordered`] plus host-side timing: returns the results in input
-/// order and a [`PoolProfile`] of where the wall-clock went.
-pub fn run_ordered_timed<I, T, F>(jobs: usize, items: &[I], f: F) -> (Vec<T>, PoolProfile)
+/// [`run_ordered`] plus host-side timing and a per-worker observer:
+/// returns the results in input order, a [`PoolProfile`] of where the
+/// wall-clock went, and one `S` per worker. Each worker starts from
+/// `S::default()` and calls `observe(&mut s, index, wall_ns, &result)`
+/// after every item it completes, on its own thread and without locks;
+/// the states come back in worker-index order for the caller to merge.
+/// A panicking item is not observed.
+pub fn run_ordered_observed<I, T, S, F, O>(
+    jobs: usize,
+    items: &[I],
+    f: F,
+    observe: O,
+) -> (Vec<T>, PoolProfile, Vec<S>)
 where
     I: Sync,
     T: Send,
+    S: Default + Send,
     F: Fn(usize, &I) -> T + Sync,
+    O: Fn(&mut S, usize, u64, &T) + Sync,
 {
     let jobs = jobs.max(1).min(items.len().max(1));
     let started = Instant::now();
     if jobs <= 1 {
         // Inline path: same containment contract as the pool — finish
         // every item, then re-raise the first panic.
-        let mut item_ns = Vec::with_capacity(items.len());
+        let mut state = S::default();
+        let mut busy = 0u64;
         let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
         let mut out: Vec<T> = Vec::with_capacity(items.len());
         for (i, it) in items.iter().enumerate() {
             let t0 = Instant::now();
             match catch_unwind(AssertUnwindSafe(|| f(i, it))) {
                 Ok(r) => {
-                    item_ns.push(saturating_nanos(t0.elapsed().as_secs_f64()));
+                    let ns = saturating_nanos(t0.elapsed().as_secs_f64());
+                    busy = busy.saturating_add(ns);
+                    observe(&mut state, i, ns, &r);
                     out.push(r);
                 }
                 Err(payload) => {
@@ -127,57 +141,62 @@ where
         if let Some(payload) = first_panic {
             resume_unwind(payload);
         }
-        let busy: u64 = item_ns.iter().fold(0u64, |a, &b| a.saturating_add(b));
         let profile = PoolProfile {
             jobs: 1,
             wall_ns: saturating_nanos(started.elapsed().as_secs_f64()),
-            item_ns,
             workers: vec![WorkerSpan {
                 busy_ns: busy,
                 items: items.len() as u64,
             }],
         };
-        return (out, profile);
+        return (out, profile, vec![state]);
     }
     let next = AtomicUsize::new(0);
     // A slot holds the item's result or the panic payload `f` raised
     // for it — so one bad item cannot leave any slot unfilled.
-    type SlotValue<T> = Result<(T, u64), Box<dyn std::any::Any + Send>>;
+    type SlotValue<T> = Result<T, Box<dyn std::any::Any + Send>>;
     let slots: Vec<Mutex<Option<SlotValue<T>>>> =
         (0..items.len()).map(|_| Mutex::new(None)).collect();
-    let spans: Vec<Mutex<WorkerSpan>> = (0..jobs)
-        .map(|_| Mutex::new(WorkerSpan::default()))
-        .collect();
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let next = &next;
-            let slots = &slots;
-            let spans = &spans;
-            let f = &f;
-            scope.spawn(move || {
-                let mut span = WorkerSpan::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
+    let workers: Vec<(WorkerSpan, S)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs)
+            .map(|_| {
+                let next = &next;
+                let slots = &slots;
+                let f = &f;
+                let observe = &observe;
+                scope.spawn(move || {
+                    let mut span = WorkerSpan::default();
+                    let mut state = S::default();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break;
+                        }
+                        let t0 = Instant::now();
+                        let out = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
+                        let ns = saturating_nanos(t0.elapsed().as_secs_f64());
+                        span.busy_ns = span.busy_ns.saturating_add(ns);
+                        span.items += 1;
+                        if let Ok(r) = &out {
+                            observe(&mut state, i, ns, r);
+                        }
+                        // A peer's panic while holding this lock cannot
+                        // happen (each slot has exactly one writer), but
+                        // poison tolerance costs nothing and keeps the
+                        // reassembly below total.
+                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
                     }
-                    let t0 = Instant::now();
-                    let out = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
-                    let ns = saturating_nanos(t0.elapsed().as_secs_f64());
-                    span.busy_ns = span.busy_ns.saturating_add(ns);
-                    span.items += 1;
-                    // A peer's panic while holding this lock cannot
-                    // happen (each slot has exactly one writer), but
-                    // poison tolerance costs nothing and keeps the
-                    // reassembly below total.
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
-                        Some(out.map(|r| (r, ns)));
-                }
-                *spans[w].lock().unwrap_or_else(PoisonError::into_inner) = span;
-            });
-        }
+                    (span, state)
+                })
+            })
+            .collect();
+        // `f`'s panics are caught per item, so a worker can only panic
+        // inside `observe`; re-raise that as is.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     });
-    let mut item_ns = Vec::with_capacity(items.len());
     let mut out = Vec::with_capacity(items.len());
     let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
     for slot in slots {
@@ -186,10 +205,7 @@ where
             .unwrap_or_else(PoisonError::into_inner)
             .expect("worker pool filled every slot");
         match filled {
-            Ok((r, ns)) => {
-                item_ns.push(ns);
-                out.push(r);
-            }
+            Ok(r) => out.push(r),
             Err(payload) => {
                 if first_panic.is_none() {
                     first_panic = Some(payload);
@@ -200,16 +216,13 @@ where
     if let Some(payload) = first_panic {
         resume_unwind(payload);
     }
+    let (spans, states) = workers.into_iter().unzip();
     let profile = PoolProfile {
         jobs,
         wall_ns: saturating_nanos(started.elapsed().as_secs_f64()),
-        item_ns,
-        workers: spans
-            .into_iter()
-            .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect(),
+        workers: spans,
     };
-    (out, profile)
+    (out, profile, states)
 }
 
 #[cfg(test)]
@@ -304,22 +317,41 @@ mod tests {
     fn timed_variant_accounts_every_item_and_worker() {
         let items: Vec<u64> = (0..40).collect();
         for jobs in [1, 4] {
-            let (got, prof) = run_ordered_timed(jobs, &items, |_, &x| {
-                // A little spin so busy times are nonzero.
-                let mut acc = x;
-                for i in 0..10_000u64 {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-                }
-                std::hint::black_box(acc);
-                x * 2
-            });
+            // The observer sees every item exactly once, on the worker
+            // that ran it.
+            let (got, prof, seen) = run_ordered_observed(
+                jobs,
+                &items,
+                |_, &x| {
+                    // A little spin so busy times are nonzero.
+                    let mut acc = x;
+                    for i in 0..10_000u64 {
+                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+                    }
+                    std::hint::black_box(acc);
+                    x * 2
+                },
+                |s: &mut Vec<(usize, u64)>, i, _ns, &r| s.push((i, r)),
+            );
             assert_eq!(got, items.iter().map(|x| x * 2).collect::<Vec<_>>());
             assert_eq!(prof.jobs, jobs);
-            assert_eq!(prof.item_ns.len(), items.len());
             assert_eq!(prof.workers.len(), jobs);
+            assert_eq!(seen.len(), jobs);
             // Every item was claimed by exactly one worker.
             let claimed: u64 = prof.workers.iter().map(|w| w.items).sum();
             assert_eq!(claimed, items.len() as u64);
+            for (span, s) in prof.workers.iter().zip(&seen) {
+                assert_eq!(span.items, s.len() as u64);
+            }
+            let mut all: Vec<(usize, u64)> = seen.into_iter().flatten().collect();
+            all.sort_unstable();
+            assert_eq!(
+                all,
+                items
+                    .iter()
+                    .map(|&x| (x as usize, x * 2))
+                    .collect::<Vec<_>>()
+            );
             // Busy time is at most jobs × wall time (and > 0 here).
             let busy: u64 = prof.workers.iter().map(|w| w.busy_ns).sum();
             assert!(busy > 0);

@@ -6,6 +6,8 @@
 //! the cache reproduces *bit-identical* values — a cached sweep must
 //! emit the same CSV bytes as a cold one.
 
+use psse_faults::rng::KeyHasher;
+
 /// Everything a sweep can want to know about one completed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunResult {
@@ -148,15 +150,51 @@ pub use psse_algos::catalog::digest_f64s;
 /// cannot collide). Shared by the self-checksummed cache records and
 /// the sweep journal's torn-tail detection.
 pub fn line_checksum(line: &str) -> u64 {
-    let bytes = line.as_bytes();
-    let mut words = Vec::with_capacity(1 + bytes.len().div_ceil(8));
-    words.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        words.push(u64::from_le_bytes(w));
+    let mut h = LineHasher::new(line.len());
+    h.write(line.as_bytes());
+    h.finish()
+}
+
+/// [`line_checksum`] over a line fed in pieces, for lines too long to
+/// build: `new(len)` with the total byte length, `write` the pieces in
+/// order, then `finish`.
+pub(crate) struct LineHasher {
+    chain: KeyHasher,
+    word: [u8; 8],
+    fill: usize,
+}
+
+impl LineHasher {
+    pub(crate) fn new(len: usize) -> LineHasher {
+        let mut chain = KeyHasher::new(0x7265_6331_6373_756d); // "rec1csum"
+        chain.push(len as u64);
+        LineHasher {
+            chain,
+            word: [0; 8],
+            fill: 0,
+        }
     }
-    psse_faults::rng::hash_key(0x7265_6331_6373_756d, &words) // "rec1csum"
+
+    pub(crate) fn write(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let take = (8 - self.fill).min(bytes.len());
+            self.word[self.fill..self.fill + take].copy_from_slice(&bytes[..take]);
+            self.fill += take;
+            bytes = &bytes[take..];
+            if self.fill == 8 {
+                self.chain.push(u64::from_le_bytes(self.word));
+                self.fill = 0;
+            }
+        }
+    }
+
+    pub(crate) fn finish(mut self) -> u64 {
+        if self.fill > 0 {
+            self.word[self.fill..].fill(0);
+            self.chain.push(u64::from_le_bytes(self.word));
+        }
+        self.chain.finish()
+    }
 }
 
 #[cfg(test)]

@@ -299,3 +299,101 @@ fn persistent_cache_hits_are_journaled_once() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn journal_holds_every_completed_digest_once_a_sweep_returns() {
+    // Lines are written in batches; both sweep entry points write the
+    // last batch before returning, with the engine (and its journal)
+    // still alive.
+    let dir = std::env::temp_dir().join(format!("psse-lab-jlive-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let keys = SweepSpec::parse(SPEC).unwrap().expand();
+    let distinct: std::collections::HashSet<String> = keys.iter().map(|k| k.digest()).collect();
+    for profiled in [false, true] {
+        let path = dir.join(format!("live-{profiled}.journal"));
+        let mut engine = lab(4, None);
+        engine.set_journal(Journal::create(&path, &spec_digest(&keys)).unwrap());
+        if profiled {
+            assert_eq!(engine.run_keys_profiled(&keys).1.failed, 0);
+        } else {
+            assert!(engine.run_keys(&keys).iter().all(|r| r.is_ok()));
+        }
+        let lines = journaled_digests(&path);
+        assert_eq!(lines.len(), distinct.len(), "profiled={profiled}");
+        let written: std::collections::HashSet<String> = lines.into_iter().collect();
+        assert_eq!(written, distinct, "profiled={profiled}");
+        drop(engine);
+        assert_eq!(
+            journaled_digests(&path).len(),
+            distinct.len(),
+            "drop wrote more"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `SPEC` over a `p_points × mem_points` grid.
+fn grid(p_points: usize, mem_points: usize) -> Vec<RunKey> {
+    let text = SPEC
+        .replace("geom:6:100:15", &format!("geom:6:10000:{p_points}"))
+        .replace("geomf:2e2:1e6:15", &format!("geomf:2e2:1e6:{mem_points}"));
+    SweepSpec::parse(&text).unwrap().expand()
+}
+
+#[test]
+fn profile_json_size_does_not_grow_with_the_key_count() {
+    let size = |keys: &[RunKey]| {
+        let (results, profile) = lab(2, None).run_keys_profiled(keys);
+        assert!(results.iter().all(|r| r.is_ok()));
+        assert_eq!(profile.keys, keys.len() as u64);
+        assert_eq!(profile.top.len(), psse_lab::selfprof::TOP_K);
+        profile.to_json().to_string().len()
+    };
+    let (small_keys, large_keys) = (grid(40, 50), grid(100, 200));
+    assert_eq!((small_keys.len(), large_keys.len()), (2_000, 20_000));
+    let (small, large) = (size(&small_keys), size(&large_keys));
+    assert!(
+        small < 64 * 1024 && large < 64 * 1024,
+        "{small} / {large} B"
+    );
+    // A tenfold sweep may occupy more histogram buckets (the bucket
+    // layout is fixed, so that growth is bounded), never tenfold bytes.
+    assert!(
+        large < 2 * small,
+        "a 10x larger sweep grew the profile from {small} to {large} B"
+    );
+}
+
+#[test]
+fn profile_counts_match_across_jobs_and_cache_temperature() {
+    let keys = SweepSpec::parse(SPEC).unwrap().expand();
+    let distinct: std::collections::HashSet<String> = keys.iter().map(|k| k.digest()).collect();
+    // No duplicate keys, so no worker can race another to a hit.
+    assert_eq!(distinct.len(), keys.len());
+    let n = keys.len() as u64;
+    let (_, serial) = lab(1, None).run_keys_profiled(&keys);
+    let engine = lab(4, None);
+    let (_, cold) = engine.run_keys_profiled(&keys);
+    let (_, warm) = engine.run_keys_profiled(&keys);
+    for p in [&serial, &cold] {
+        assert_eq!((p.keys, p.cached, p.failed), (n, 0, 0));
+        assert_eq!((p.executed_ns.count(), p.cached_ns.count()), (n, 0));
+    }
+    assert_eq!((warm.keys, warm.cached, warm.failed), (n, n, 0));
+    assert_eq!((warm.executed_ns.count(), warm.cached_ns.count()), (0, n));
+    // The virt.* series are recorded per key occurrence, so they agree
+    // exactly whatever the worker count or cache temperature.
+    let virt = |p: &SweepProfile| -> Vec<(String, String)> {
+        match &p.metrics {
+            psse_metrics::Json::Obj(pairs) => pairs
+                .iter()
+                .filter(|(k, _)| k.starts_with("virt."))
+                .map(|(k, v)| (k.clone(), v.to_string()))
+                .collect(),
+            other => panic!("metrics is not an object: {other}"),
+        }
+    };
+    assert_eq!(virt(&serial).len(), 5);
+    assert_eq!(virt(&serial), virt(&cold));
+    assert_eq!(virt(&serial), virt(&warm));
+}

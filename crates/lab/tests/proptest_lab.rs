@@ -1,14 +1,18 @@
 //! Property-based tests: the fast Pareto extractor against the naive
 //! O(n²) dominance reference (and permutation invariance), RunKey
 //! digest injectivity over generated grids, and the self-profile's
-//! JSON round-trip.
+//! JSON round-trip and its refusal of anything that is not a v2
+//! profile.
+
+use std::cmp::Reverse;
 
 use proptest::prelude::*;
 use psse_core::machines::jaketown;
 use psse_faults::rng::SplitMix64;
 use psse_lab::pool::WorkerSpan;
 use psse_lab::prelude::*;
-use psse_metrics::{Json, Registry};
+use psse_lab::selfprof::TOP_K;
+use psse_metrics::{Histogram, Json, Registry};
 
 /// Quantized coordinates: small integer lattices force plenty of exact
 /// ties and duplicates, the hard cases for dominance logic.
@@ -27,6 +31,56 @@ fn shuffled<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
         out.swap(i, j);
     }
     out
+}
+
+/// A consistent v2 profile of keys with the given `(wall_ns, cached,
+/// ok)` samples, dealt round-robin to `jobs` workers — the shape a
+/// sweep assembles, built from the public fields.
+fn profile_of(
+    jobs: usize,
+    wall_ns: u64,
+    samples: &[(u64, bool, bool)],
+    cache: CacheStats,
+    metrics: Json,
+) -> SweepProfile {
+    let (mut executed_ns, mut cached_ns) = (Histogram::new(), Histogram::new());
+    let mut workers = vec![WorkerSpan::default(); jobs];
+    for (i, &(wall, cached, _)) in samples.iter().enumerate() {
+        if cached {
+            cached_ns.record(wall);
+        } else {
+            executed_ns.record(wall);
+        }
+        let w = &mut workers[i % jobs];
+        w.busy_ns = w.busy_ns.saturating_add(wall);
+        w.items += 1;
+    }
+    let mut order: Vec<usize> = (0..samples.len()).collect();
+    order.sort_by_key(|&i| (Reverse(samples[i].0), i));
+    order.truncate(TOP_K);
+    SweepProfile {
+        jobs,
+        wall_ns,
+        keys: samples.len() as u64,
+        cached: cached_ns.count(),
+        failed: samples.iter().filter(|s| !s.2).count() as u64,
+        executed_ns,
+        cached_ns,
+        top: order
+            .into_iter()
+            .map(|i| RunProfile {
+                index: i as u64,
+                label: format!("model nbody n={i} p=4"),
+                digest: format!("{i:032x}"),
+                wall_ns: samples[i].0,
+                cached: samples[i].1,
+                ok: samples[i].2,
+            })
+            .collect(),
+        workers,
+        cache,
+        metrics,
+    }
 }
 
 /// Multiset of surviving points (bit-exact), independent of indices.
@@ -109,14 +163,13 @@ proptest! {
     }
 
     /// The self-profile survives JSON emit → parse exactly, for any
-    /// shape of run list, worker table, cache counters and attached
+    /// shape of key samples, worker table, cache counters and attached
     /// metric series.
     #[test]
     fn sweep_profile_round_trips_through_json(
-        jobs in 1u64..17,
+        jobs in 1usize..17,
         wall in any::<u64>(),
-        runs_raw in prop::collection::vec((any::<u64>(), any::<bool>(), any::<bool>()), 0..12),
-        workers_raw in prop::collection::vec((any::<u64>(), 0u64..1000), 0..8),
+        samples in prop::collection::vec((any::<u64>(), any::<bool>(), any::<bool>()), 0..80),
         cache_raw in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         metric_vals in prop::collection::vec(any::<u64>(), 0..6),
     ) {
@@ -126,38 +179,72 @@ proptest! {
             h.record(v);
         }
         reg.counter("virt.retries").unwrap().add(metric_vals.len() as u64);
-        let profile = SweepProfile {
-            jobs: jobs as usize,
-            wall_ns: wall,
-            runs: runs_raw
-                .iter()
-                .enumerate()
-                .map(|(i, &(wall_ns, cached, ok))| RunProfile {
-                    label: format!("model nbody n={i} p=4"),
-                    digest: format!("{i:032x}"),
-                    wall_ns,
-                    cached,
-                    ok,
-                })
-                .collect(),
-            workers: workers_raw
-                .iter()
-                .map(|&(busy_ns, items)| WorkerSpan { busy_ns, items })
-                .collect(),
-            cache: CacheStats {
-                hits: cache_raw.0,
-                misses: cache_raw.1,
-                evictions: cache_raw.2,
-                corrupt: cache_raw.3,
-                quarantined: cache_raw.4,
-            },
-            metrics: reg.snapshot().to_json(),
+        let cache = CacheStats {
+            hits: cache_raw.0,
+            misses: cache_raw.1,
+            evictions: cache_raw.2,
+            corrupt: cache_raw.3,
+            quarantined: cache_raw.4,
         };
+        let profile = profile_of(jobs, wall, &samples, cache, reg.snapshot().to_json());
         let text = profile.to_json().to_string();
         let back = SweepProfile::from_json(&Json::parse(&text).unwrap()).unwrap();
         prop_assert_eq!(&back, &profile);
         // Emission is canonical: re-serializing reproduces the bytes.
         prop_assert_eq!(back.to_json().to_string(), text);
+    }
+
+    /// `from_json` refuses — with an `Err`, never a panic — a v1
+    /// profile, any truncation, and a bumped key count; any single-byte
+    /// mutation either fails or parses to a profile that re-emits
+    /// canonically.
+    #[test]
+    fn sweep_profile_from_json_rejects_v1_truncated_and_mutated(
+        jobs in 1usize..5,
+        samples in prop::collection::vec((0u64..1_000_000, any::<bool>(), any::<bool>()), 1..60),
+        cut in 0.0f64..1.0,
+        at in 0.0f64..1.0,
+        byte in any::<u8>(),
+    ) {
+        let empty = Registry::new().snapshot().to_json();
+        let profile = profile_of(jobs, 1_000_000, &samples, CacheStats::default(), empty);
+        let text = profile.to_json().to_string();
+        let parse = |t: &str| Json::parse(t).map_err(|e| e.to_string())
+            .and_then(|v| SweepProfile::from_json(&v));
+
+        // The per-run v1 schema and a relabelled v2 are both refused.
+        let v1 = format!(
+            "{{\"version\":1,\"jobs\":{jobs},\"wall_ns\":5,\"cache\":{{\"hits\":0,\
+             \"misses\":1,\"evictions\":0,\"corrupt\":0,\"quarantined\":0}},\
+             \"runs\":[{{\"label\":\"a\",\"digest\":\"b\",\"wall_ns\":5,\
+             \"cached\":false,\"ok\":true}}],\"workers\":[],\"metrics\":{{}}}}"
+        );
+        prop_assert!(Json::parse(&v1).is_ok());
+        prop_assert!(parse(&v1).is_err());
+        prop_assert!(parse(&text.replacen("\"version\":2", "\"version\":1", 1)).is_err());
+
+        // Every proper prefix is refused.
+        let cut_at = ((text.len() as f64) * cut) as usize;
+        prop_assert!(parse(&text[..cut_at.min(text.len() - 1)]).is_err());
+
+        // A key count that disagrees with the histograms is refused.
+        let total = format!("\"total\":{}", samples.len());
+        let bumped = text.replacen(&total, &format!("\"total\":{}", samples.len() + 1), 1);
+        prop_assert!(parse(&bumped).is_err());
+
+        // Arbitrary byte damage never panics; what still parses is a
+        // consistent profile.
+        let mut damaged = text.clone().into_bytes();
+        let pos = ((damaged.len() as f64) * at) as usize;
+        damaged[pos.min(text.len() - 1)] = byte;
+        if let Ok(t) = std::str::from_utf8(&damaged) {
+            if let Ok(p) = parse(t) {
+                prop_assert_eq!(
+                    SweepProfile::from_json(&p.to_json()).map(|q| q == p),
+                    Ok(true)
+                );
+            }
+        }
     }
 
     /// Kill-resume identity: truncate the journal at *any* byte offset

@@ -1,13 +1,14 @@
 //! Self-profiling walkthrough: run a sweep through the lab engine and
-//! read the profile it records about itself — per-key wall-clock,
-//! worker utilization, cache temperature, and the Eq. 1/2 metric
-//! series the runs exported while executing.
+//! read the profile it records about itself — key wall-clock
+//! histograms, the slowest keys, worker utilization, cache temperature,
+//! and the Eq. 1/2 metric series the runs exported while executing.
 //!
 //! The same report is what `psse lab run` writes next to the sweep CSV
 //! as `<out>.profile.json` (see `DESIGN.md` §10).
 //!
 //! Run with: `cargo run --release --example self_profile`
 
+use psse::lab::selfprof::TOP_K;
 use psse::metrics::{Histogram, Json};
 use psse::prelude::*;
 
@@ -37,17 +38,26 @@ fn main() {
         profile.jobs
     );
 
-    // 3. The human-readable report: top-K slowest keys plus per-worker
-    //    busy/idle bars. This is exactly what the CLI prints.
+    // 3. The human-readable report: key wall-clock quantiles, the
+    //    slowest keys plus per-worker busy/idle bars. This is exactly
+    //    what the CLI prints; `render` clamps its argument to the
+    //    `TOP_K` keys the profile keeps.
     print!("{}", profile.render(5));
 
-    // 4. The same data programmatically. Structure is deterministic:
-    //    runs are in spec order, so reruns differ only in the
-    //    nanosecond values.
-    let slowest = profile.top_slowest(1)[0];
+    // 4. The same data programmatically. The profile's size does not
+    //    grow with the sweep: per-key wall-clock lives in two
+    //    histograms (executed and cached keys), and only the `TOP_K`
+    //    slowest keys are kept by name.
+    let slowest = &profile.top_slowest(1)[0];
     println!(
-        "\nslowest key : {} ({} ns host wall-clock, cached={})",
-        profile.runs[slowest].label, profile.runs[slowest].wall_ns, profile.runs[slowest].cached
+        "\nslowest key : #{} {} ({} ns host wall-clock, cached={})",
+        slowest.index, slowest.label, slowest.wall_ns, slowest.cached
+    );
+    print_hist("key wall-clock (executed)", &profile.executed_ns);
+    println!(
+        "kept        : {} of {} keys by name (TOP_K = {TOP_K})",
+        profile.top.len(),
+        profile.keys
     );
     println!(
         "worker 0    : {:.1}% busy over a {} ns sweep",
