@@ -2,62 +2,67 @@
 //! machine (the bit-identity oracle) or the discrete-event executor.
 
 use crate::exec::{EventMachine, EventOutcome, ExecStats};
-use crate::program::RankProgram;
-use crate::step::{Delivered, Step};
+use crate::program::{Chan, Comm, Op, Payload, RankProgram};
 use psse_sim::error::SimResult;
 use psse_sim::{Backend, Machine, SimConfig};
+use std::pin::pin;
+use std::rc::Rc;
+use std::task::Poll;
 
-/// Run one program per rank on the backend selected by
+/// Run `program` on `p` ranks on the backend selected by
 /// [`SimConfig::backend`]:
 ///
-/// * [`Backend::Threads`] — each program's steps are replayed through a
-///   `psse_sim::Rank` on its own pooled OS thread. Every step maps to
-///   the exact `Rank` call the closure API would make (`Compute` →
-///   `compute`, `Send` → `send_shared`, `Recv` → `recv_shared`,
+/// * [`Backend::Threads`] — each rank's body is driven on its own
+///   pooled OS thread through a `psse_sim::Rank`. Every operation maps
+///   to the exact `Rank` call the closure API would make (`compute` →
+///   `compute`, `send` → `send_shared`, `recv` → `recv_shared`,
 ///   markers → `mark_collective_begin`/`end`), so this is the oracle
 ///   the event backend is checked against.
-/// * [`Backend::Events`] — [`EventMachine`] prices the same steps in
-///   one process, scheduled by virtual time; byte-identical profiles,
-///   traces, and fault counters, feasible to `p = 10^6`.
-///
-/// `make(rank, p)` constructs rank `rank`'s program.
-pub fn run_programs<P, F>(p: usize, cfg: &SimConfig, make: F) -> SimResult<EventOutcome<P>>
+/// * [`Backend::Events`] — [`EventMachine::run`] prices the same
+///   operations in one process, scheduled by virtual time;
+///   byte-identical profiles, traces, and fault counters, feasible to
+///   `p = 10^6`.
+pub fn run_programs<P>(p: usize, cfg: &SimConfig, program: P) -> SimResult<EventOutcome<P::Output>>
 where
-    P: RankProgram + Send,
-    F: Fn(usize, usize) -> P + Sync,
+    P: RankProgram + Sync,
+    P::Output: Default + Send,
 {
     match cfg.backend {
         Backend::Threads => {
             let outcome = Machine::run(p, cfg.clone(), |rank| {
-                let mut prog = make(rank.rank(), rank.size());
-                let mut delivered: Option<Delivered> = None;
+                let chan = Rc::new(Chan::default());
+                let mut body =
+                    pin!(program.start(Comm::new(rank.rank(), rank.size(), Rc::clone(&chan))));
+                let mut ops = Vec::new();
+                let mut delivered = None;
                 loop {
-                    match prog.next(delivered.take()) {
-                        Step::Compute { flops } => rank.compute(flops),
-                        Step::Send { dest, tag, payload } => {
-                            rank.send_shared(dest, tag, payload.into_shared())?;
+                    let poll = chan.poll(body.as_mut(), delivered.take(), &mut ops);
+                    for op in ops.drain(..) {
+                        match op {
+                            Op::Compute(flops) => rank.compute(flops),
+                            Op::Send(dest, tag, payload) => {
+                                rank.send_shared(dest, tag, payload.into_shared())?;
+                            }
+                            Op::Recv(src, tag) => {
+                                let data = rank.recv_shared(src, tag)?;
+                                delivered = Some(Payload::Data(data));
+                            }
+                            Op::CollBegin(name) => rank.mark_collective_begin(name),
+                            Op::CollEnd(name) => rank.mark_collective_end(name),
                         }
-                        Step::Recv { src, tag } => {
-                            let data = rank.recv_shared(src, tag)?;
-                            delivered = Some(Delivered {
-                                words: data.len(),
-                                data: Some(data),
-                            });
-                        }
-                        Step::CollBegin { op } => rank.mark_collective_begin(op),
-                        Step::CollEnd { op } => rank.mark_collective_end(op),
-                        Step::Done => break,
+                    }
+                    if let Poll::Ready(output) = poll {
+                        return Ok(output);
                     }
                 }
-                Ok(prog)
             })?;
             Ok(EventOutcome {
-                programs: outcome.results,
+                results: outcome.results,
                 profile: outcome.profile,
                 // Thread backend: nothing is scheduled or parked.
                 stats: ExecStats::default(),
             })
         }
-        Backend::Events => EventMachine::run(p, cfg, make),
+        Backend::Events => EventMachine::run(p, cfg, program),
     }
 }

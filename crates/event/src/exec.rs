@@ -1,26 +1,23 @@
-//! The discrete-event executors: serial (virtual-time calendar queue)
-//! and parallel (round-based work stealing), byte-identical by
-//! construction, plus the analytic fast path for native counted
-//! collectives.
+//! The discrete-event executor (virtual-time calendar queue) plus the
+//! analytic fast path for native counted collectives, byte-identical by
+//! construction.
 //!
-//! ## Why the executors cannot disagree
+//! ## Why the paths cannot disagree
 //!
-//! Every executor charges through `psse_sim::lane`, the one Eq. 1
-//! pricing core: each rank's [`Lane`] here is the same type the thread
+//! Every path charges through `psse_sim::lane`, the one Eq. 1 pricing
+//! core: each rank's [`Lane`] here is the same type the thread
 //! backend's `Rank` wraps. A rank's profile is a pure function of its
 //! own operation sequence plus, for each receive, the `(departure,
 //! words)` of the matching transfer. Matching is per-`(src, tag)` FIFO, and each
 //! `(src, tag)` key has a single sender whose sends are totally ordered
-//! by its own program — so *which* wire matches *which* receive is
-//! fixed by the programs alone, independent of executor scheduling.
-//! The serial executor orders runnable ranks by `(virtual time, rank,
-//! seq)` from a deterministic calendar queue; the parallel executor
-//! runs every runnable rank in a round concurrently and merges
-//! deliveries between rounds, preserving per-sender order; the fast
-//! path (`crate::fastpath`) prices a known DAG in closed form. All
-//! three walk the same message DAG, so every priced number is
-//! bit-identical (tested in this module, in `tests/`, and against the
-//! thread backend).
+//! by its own body — so *which* wire matches *which* receive is
+//! fixed by the bodies alone, independent of scheduling.
+//! The executor polls each rank's `async` body and dispatches runnable
+//! ranks by `(virtual time, rank, seq)` from a deterministic calendar
+//! queue; the fast path (`crate::fastpath`) prices a known DAG in
+//! closed form. Both walk the same message DAG, so every priced number
+//! is bit-identical (tested in `tests/` and against the thread
+//! backend).
 //!
 //! ## The hot path
 //!
@@ -39,7 +36,7 @@
 //!
 //! ## Deadlock
 //!
-//! Sends are eager, so a rank can only block in `Recv`. When no rank is
+//! Sends are eager, so a rank can only block in `recv`. When no rank is
 //! runnable and some are still live, every live rank is blocked on an
 //! empty `(src, tag)` queue that no future send can fill — a *proven*
 //! deadlock, reported as [`SimError::Deadlock`] with the full blocked
@@ -47,13 +44,14 @@
 
 use crate::calq::{CalendarQueue, SchedKey};
 use crate::fastpath;
-use crate::program::RankProgram;
+use crate::program::{Chan, Comm, Op, Payload, RankProgram};
 use crate::slab::{Mailbox, Wire};
-use crate::step::{Delivered, Payload, Step};
 use psse_sim::error::SimResult;
 use psse_sim::{Lane, Profile, SimConfig, SimError, Tag};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::Poll;
 
 /// Executor health counters for one run: how hard the hot-path
 /// structures worked. Zero on the analytic fast path and on the thread
@@ -71,11 +69,12 @@ pub struct ExecStats {
     pub calq_overflow: u64,
 }
 
-/// The result of running programs on the event backend: the finished
-/// programs (which carry any algorithm results) plus the run's profile.
-pub struct EventOutcome<P> {
-    /// The per-rank programs after completion, indexed by rank id.
-    pub programs: Vec<P>,
+/// The result of running a program: what each rank's body returned plus
+/// the run's profile.
+pub struct EventOutcome<T> {
+    /// Each rank's body output, indexed by rank id (the default value
+    /// for every rank when the analytic fast path priced the run).
+    pub results: Vec<T>,
     /// Per-rank counters, traces, and the virtual makespan — the same
     /// `Profile` the thread backend produces, byte-identical.
     pub profile: Profile,
@@ -84,8 +83,8 @@ pub struct EventOutcome<P> {
     pub stats: ExecStats,
 }
 
-// Manual impl so `P` needs no `Debug` bound (programs are elided).
-impl<P> std::fmt::Debug for EventOutcome<P> {
+// Manual impl so `T` needs no `Debug` bound (results are elided).
+impl<T> std::fmt::Debug for EventOutcome<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventOutcome")
             .field("p", &self.profile.p())
@@ -107,50 +106,43 @@ enum Status {
 /// A receive the rank is parked on: `(src, tag, t0)`.
 type Waiting = (usize, Tag, f64);
 
-struct Slot<P> {
-    program: P,
+struct Slot<B: Future> {
+    body: Pin<Box<B>>,
+    output: Option<B::Output>,
     lane: Lane,
     status: Status,
     /// Undelivered transfers, held in per-`(src, tag)` FIFO chains
     /// threaded through a recycling slab (see `crate::slab`).
     inbox: Mailbox,
     waiting: Option<Waiting>,
-    pending: Option<Delivered>,
+    /// The payload of the completed receive the body resumes with.
+    pending: Option<Payload>,
 }
 
-impl<P> Slot<P> {
-    /// Price the program's send on its lane and put it on the wire.
+impl<B: Future> Slot<B> {
+    /// Price the body's send on its lane and put it on the wire.
     #[inline]
     fn send(
         &mut self,
         cfg: &SimConfig,
         dest: usize,
         tag: Tag,
-        payload: Payload,
+        mut payload: Payload,
     ) -> SimResult<Wire> {
         let words = payload.words();
-        let mut data = match payload {
-            Payload::Counted(_) => None,
-            Payload::Data(d) => Some(d),
-        };
-        let departure = self.lane.price_send(cfg, dest, tag, words, data.as_mut())?;
-        Ok(Wire {
-            departure,
-            words,
-            data,
-        })
+        let departure = self
+            .lane
+            .price_send(cfg, dest, tag, words, payload.data_mut())?;
+        Ok(Wire { departure, payload })
     }
 
     /// Complete the receive begun at `t0` with `wire`; the delivery
-    /// resumes the program on its next turn.
+    /// resumes the body on its next turn.
     #[inline]
     fn deliver(&mut self, cfg: &SimConfig, t0: f64, src: usize, tag: Tag, wire: Wire) {
         self.lane
-            .price_recv(cfg, t0, src, tag, wire.words, wire.departure);
-        self.pending = Some(Delivered {
-            words: wire.words,
-            data: wire.data,
-        });
+            .price_recv(cfg, t0, src, tag, wire.payload.words(), wire.departure);
+        self.pending = Some(wire.payload);
     }
 }
 
@@ -158,90 +150,69 @@ impl<P> Slot<P> {
 /// `(dest, src, tag, wire)`.
 type Outgoing = (usize, usize, Tag, Wire);
 
-/// Run one rank until it blocks, completes, or fails. Outgoing
-/// transfers to other ranks are buffered in `out` (delivery is the
-/// caller's job); self-sends land in the rank's own inbox immediately,
-/// mirroring the thread backend's "self-send is instantly receivable".
-fn advance<P: RankProgram>(
+/// Run one rank until it blocks, completes, or fails: poll its body and
+/// price the operations it issued, in order. Outgoing transfers to
+/// other ranks are buffered in `out` (delivery is the caller's job);
+/// self-sends land in the rank's own inbox immediately, mirroring the
+/// thread backend's "self-send is instantly receivable".
+fn advance<B: Future>(
     r: usize,
-    slot: &mut Slot<P>,
+    slot: &mut Slot<B>,
     cfg: &SimConfig,
+    chan: &Chan,
+    ops: &mut Vec<Op>,
     out: &mut Vec<Outgoing>,
 ) -> SimResult<()> {
-    // Complete the receive we were parked on, if any. (Deliveries to a
-    // parked rank are normally priced at delivery time — see the
-    // executors — so this mailbox probe is a belt-and-braces fallback.)
-    if let Some((src, tag, t0)) = slot.waiting.take() {
-        match slot.inbox.pop(src, tag.0) {
-            Some(wire) => slot.deliver(cfg, t0, src, tag, wire),
-            None => {
-                // Spurious wake: still nothing for us.
-                slot.waiting = Some((src, tag, t0));
-                slot.status = Status::Blocked;
-                return Ok(());
-            }
-        }
-    }
+    // A parked rank becomes runnable only when the executor prices the
+    // wire it waits for on delivery, so `pending` already holds it.
     loop {
-        let delivered = slot.pending.take();
-        match slot.program.next(delivered) {
-            Step::Compute { flops } => slot.lane.compute(cfg, flops),
-            Step::CollBegin { op } => slot.lane.mark_collective_begin(cfg, op),
-            Step::CollEnd { op } => slot.lane.mark_collective_end(cfg, op),
-            Step::Send { dest, tag, payload } => {
-                let wire = slot.send(cfg, dest, tag, payload)?;
-                if dest == r {
-                    slot.inbox.push(r, tag.0, wire);
-                } else {
-                    out.push((dest, r, tag, wire));
+        let poll = chan.poll(slot.body.as_mut(), slot.pending.take(), ops);
+        for op in ops.drain(..) {
+            match op {
+                Op::Compute(flops) => slot.lane.compute(cfg, flops),
+                Op::CollBegin(name) => slot.lane.mark_collective_begin(cfg, name),
+                Op::CollEnd(name) => slot.lane.mark_collective_end(cfg, name),
+                Op::Send(dest, tag, payload) => {
+                    let wire = slot.send(cfg, dest, tag, payload)?;
+                    if dest == r {
+                        slot.inbox.push(r, tag.0, wire);
+                    } else {
+                        out.push((dest, r, tag, wire));
+                    }
                 }
-            }
-            Step::Recv { src, tag } => {
-                let t0 = slot.lane.begin_recv(cfg, src)?;
-                match slot.inbox.pop(src, tag.0) {
-                    Some(wire) => slot.deliver(cfg, t0, src, tag, wire),
-                    None => {
-                        slot.waiting = Some((src, tag, t0));
-                        slot.status = Status::Blocked;
-                        return Ok(());
+                // Always the last op of a suspended body.
+                Op::Recv(src, tag) => {
+                    let t0 = slot.lane.begin_recv(cfg, src)?;
+                    match slot.inbox.pop(src, tag.0) {
+                        Some(wire) => slot.deliver(cfg, t0, src, tag, wire),
+                        None => {
+                            slot.waiting = Some((src, tag, t0));
+                            slot.status = Status::Blocked;
+                            return Ok(());
+                        }
                     }
                 }
             }
-            Step::Done => {
-                if let Some(e) = slot.lane.take_fault_error() {
-                    return Err(e);
-                }
-                slot.status = Status::Done;
-                return Ok(());
+        }
+        if let Poll::Ready(output) = poll {
+            if let Some(e) = slot.lane.take_fault_error() {
+                return Err(e);
             }
+            slot.output = Some(output);
+            slot.status = Status::Done;
+            return Ok(());
         }
     }
-}
-
-fn make_slots<P>(programs: Vec<P>, cfg: &SimConfig) -> Vec<Slot<P>> {
-    let p = programs.len();
-    programs
-        .into_iter()
-        .enumerate()
-        .map(|(r, program)| Slot {
-            program,
-            lane: Lane::new(r, p, cfg),
-            status: Status::Runnable,
-            inbox: Mailbox::new(),
-            waiting: None,
-            pending: None,
-        })
-        .collect()
 }
 
 /// Collapse a finished run into its outcome, or the error the thread
 /// backend's triage would surface: the lowest-ranked real failure wins;
 /// otherwise all-blocked is a proven deadlock.
-fn finish<P>(
-    slots: Vec<Slot<P>>,
+fn finish<B: Future>(
+    slots: Vec<Slot<B>>,
     errors: Vec<(usize, SimError)>,
     calq_overflow: u64,
-) -> SimResult<EventOutcome<P>> {
+) -> SimResult<EventOutcome<B::Output>> {
     if let Some((_, err)) = errors.into_iter().min_by_key(|(r, _)| *r) {
         return Err(err);
     }
@@ -261,13 +232,13 @@ fn finish<P>(
         calq_overflow,
         ..ExecStats::default()
     };
-    let mut programs = Vec::with_capacity(slots.len());
+    let mut results = Vec::with_capacity(slots.len());
     let mut per_rank = Vec::with_capacity(slots.len());
     let mut all_events = Vec::with_capacity(slots.len());
     for slot in slots {
         stats.slab_live_peak += slot.inbox.peak_live() as u64;
         stats.slab_recycled += slot.inbox.recycled();
-        programs.push(slot.program);
+        results.push(slot.output.expect("every live rank finished"));
         let (rank_stats, events) = slot.lane.into_parts();
         per_rank.push(rank_stats);
         all_events.push(events);
@@ -280,7 +251,7 @@ fn finish<P>(
     profile.assert_balanced()?;
     crate::health::accumulate(&stats);
     Ok(EventOutcome {
-        programs,
+        results,
         profile,
         stats,
     })
@@ -297,52 +268,64 @@ fn check_world(p: usize, cfg: &SimConfig) -> SimResult<()> {
 pub struct EventMachine;
 
 impl EventMachine {
-    /// Run `p` rank programs under the serial virtual-time scheduler.
+    /// Run `program` on `p` ranks under the virtual-time scheduler.
     ///
-    /// When every program claims the same analytic collective and
-    /// nothing observes individual events, the run is priced in closed
-    /// form (`crate::fastpath`) — byte-identical output, no scheduling.
-    /// Otherwise runnable ranks are dispatched in ascending
-    /// `(time, rank, seq)` order from a calendar queue; each rank runs
-    /// greedily until it blocks in `Recv` or finishes. Deterministic by
-    /// construction; byte-identical to the thread backend and to
-    /// [`EventMachine::run_parallel`].
-    pub fn run<P, F>(p: usize, cfg: &SimConfig, mut make: F) -> SimResult<EventOutcome<P>>
+    /// When the program claims an analytic collective and nothing
+    /// observes individual events, the run is priced in closed form
+    /// (`crate::fastpath`) — byte-identical output, no bodies built, no
+    /// scheduling, and every rank's result is `P::Output::default()`.
+    /// Otherwise this is [`EventMachine::run_general`].
+    pub fn run<P>(p: usize, cfg: &SimConfig, program: P) -> SimResult<EventOutcome<P::Output>>
     where
         P: RankProgram,
-        F: FnMut(usize, usize) -> P,
+        P::Output: Default,
     {
         check_world(p, cfg)?;
-        let programs: Vec<P> = (0..p).map(|r| make(r, p)).collect();
-        if let Some(profile) = fastpath::try_run(p, cfg, &programs) {
+        if let Some(profile) = fastpath::try_run(p, cfg, &program) {
             return Ok(EventOutcome {
-                programs,
+                results: (0..p).map(|_| P::Output::default()).collect(),
                 profile,
                 stats: ExecStats::default(),
             });
         }
-        Self::run_serial(cfg, make_slots(programs, cfg))
+        Self::schedule(p, cfg, program)
     }
 
     /// [`EventMachine::run`] with the analytic fast path disabled: the
     /// general scheduled executor, unconditionally. This is the oracle
     /// half of the fast-path differential tests (`fastpath_identity`)
     /// and the one way to force the general path.
-    pub fn run_general<P, F>(p: usize, cfg: &SimConfig, mut make: F) -> SimResult<EventOutcome<P>>
-    where
-        P: RankProgram,
-        F: FnMut(usize, usize) -> P,
-    {
+    ///
+    /// Every rank's body is polled from a calendar queue in ascending
+    /// `(time, rank, seq)` order; each rank runs greedily until it
+    /// blocks in `recv` or finishes. Deterministic by construction;
+    /// byte-identical to the thread backend.
+    pub fn run_general<P: RankProgram>(
+        p: usize,
+        cfg: &SimConfig,
+        program: P,
+    ) -> SimResult<EventOutcome<P::Output>> {
         check_world(p, cfg)?;
-        let programs: Vec<P> = (0..p).map(|r| make(r, p)).collect();
-        Self::run_serial(cfg, make_slots(programs, cfg))
+        Self::schedule(p, cfg, program)
     }
 
-    fn run_serial<P: RankProgram>(
+    fn schedule<P: RankProgram>(
+        p: usize,
         cfg: &SimConfig,
-        mut slots: Vec<Slot<P>>,
-    ) -> SimResult<EventOutcome<P>> {
-        let p = slots.len();
+        program: P,
+    ) -> SimResult<EventOutcome<P::Output>> {
+        let chan = Rc::new(Chan::default());
+        let mut slots: Vec<_> = (0..p)
+            .map(|r| Slot {
+                body: Box::pin(program.start(Comm::new(r, p, Rc::clone(&chan)))),
+                output: None,
+                lane: Lane::new(r, p, cfg),
+                status: Status::Runnable,
+                inbox: Mailbox::new(),
+                waiting: None,
+                pending: None,
+            })
+            .collect();
         // Width heuristic: one max-size chunk latency per bucket. With
         // zero prices (counters-only runs) this is 0 and the calendar
         // degenerates to exactly the old single binary heap.
@@ -358,6 +341,7 @@ impl EventMachine {
             seq += 1;
         }
         let mut errors: Vec<(usize, SimError)> = Vec::new();
+        let mut ops: Vec<Op> = Vec::new();
         let mut out: Vec<Outgoing> = Vec::new();
         while let Some(key) = queue.pop() {
             // Cooperative cancellation: a watchdog can abandon a hung
@@ -372,7 +356,7 @@ impl EventMachine {
             if slots[r].status != Status::Runnable {
                 continue;
             }
-            if let Err(e) = advance(r, &mut slots[r], cfg, &mut out) {
+            if let Err(e) = advance(r, &mut slots[r], cfg, &chan, &mut ops, &mut out) {
                 slots[r].status = Status::Dead;
                 errors.push((r, e));
             }
@@ -404,116 +388,5 @@ impl EventMachine {
         }
         let overflow = queue.overflow_pushes();
         finish(slots, errors, overflow)
-    }
-
-    /// Run `p` rank programs on `workers` threads with round-based work
-    /// stealing. Observable output (profiles, traces, results, errors)
-    /// is byte-identical to [`EventMachine::run`] — see the module docs
-    /// for the argument, and the tests for the enforcement. The
-    /// analytic fast path applies exactly as in [`EventMachine::run`].
-    ///
-    /// Each round, every runnable rank is advanced to its next block
-    /// (workers steal ranks from a shared cursor); deliveries are
-    /// merged between rounds in worker order, which preserves the
-    /// per-sender FIFO the matching depends on.
-    pub fn run_parallel<P, F>(
-        p: usize,
-        cfg: &SimConfig,
-        mut make: F,
-        workers: usize,
-    ) -> SimResult<EventOutcome<P>>
-    where
-        P: RankProgram + Send,
-        F: FnMut(usize, usize) -> P,
-    {
-        check_world(p, cfg)?;
-        let programs: Vec<P> = (0..p).map(|r| make(r, p)).collect();
-        if let Some(profile) = fastpath::try_run(p, cfg, &programs) {
-            return Ok(EventOutcome {
-                programs,
-                profile,
-                stats: ExecStats::default(),
-            });
-        }
-        let workers = workers.max(1);
-        let slots: Vec<Mutex<Slot<P>>> = make_slots(programs, cfg)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let mut runnable: Vec<usize> = (0..p).collect();
-        let mut errors: Vec<(usize, SimError)> = Vec::new();
-        while !runnable.is_empty() {
-            // Same cooperative cancellation point as the serial loop,
-            // checked once per round.
-            if let Some(flag) = &cfg.cancel {
-                if flag.is_cancelled() {
-                    return Err(SimError::Cancelled);
-                }
-            }
-            let cursor = AtomicUsize::new(0);
-            let n_workers = workers.min(runnable.len());
-            // One delivery buffer per worker; merged in worker order
-            // below. A rank runs on exactly one worker per round, so a
-            // sender's wires stay contiguous and in program order.
-            type WorkerBuf = (Vec<Outgoing>, Vec<(usize, SimError)>);
-            let mut buffers: Vec<WorkerBuf> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        let runnable = &runnable;
-                        let slots = &slots;
-                        scope.spawn(move || {
-                            let mut out: Vec<Outgoing> = Vec::new();
-                            let mut errs: Vec<(usize, SimError)> = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(&r) = runnable.get(i) else { break };
-                                let mut slot = slots[r].lock().expect("slot lock");
-                                if let Err(e) = advance(r, &mut slot, cfg, &mut out) {
-                                    slot.status = Status::Dead;
-                                    errs.push((r, e));
-                                }
-                            }
-                            (out, errs)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("event worker panicked"))
-                    .collect()
-            });
-            // Merge: deliveries in worker order (direct-priced when the
-            // receiver is parked on exactly this key, as in the serial
-            // loop), then the next round's runnable set in ascending
-            // rank order for determinism.
-            let mut woken: Vec<usize> = Vec::new();
-            for (out, errs) in &mut buffers {
-                errors.append(errs);
-                for (dest, src, tag, wire) in out.drain(..) {
-                    let mut slot = slots[dest].lock().expect("slot lock");
-                    if slot.status == Status::Blocked {
-                        if let Some((wsrc, wtag, t0)) = slot.waiting {
-                            if wsrc == src && wtag == tag {
-                                slot.waiting = None;
-                                slot.deliver(cfg, t0, src, tag, wire);
-                                slot.status = Status::Runnable;
-                                woken.push(dest);
-                                continue;
-                            }
-                        }
-                    }
-                    slot.inbox.push(src, tag.0, wire);
-                }
-            }
-            woken.sort_unstable();
-            woken.dedup();
-            runnable = woken;
-        }
-        let slots: Vec<Slot<P>> = slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("slot lock"))
-            .collect();
-        finish(slots, errors, 0)
     }
 }

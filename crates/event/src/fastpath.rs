@@ -7,15 +7,16 @@
 //! of scheduling `O(p log p)` wires one by one, this module walks each
 //! rank's pricing sequence directly over arrays, charging every send,
 //! receive and compute with `psse_sim::lane`'s primitives — the same
-//! code the scheduled executors run, with the same `max(clock, depart)`
+//! code the scheduled executor runs, with the same `max(clock, depart)`
 //! joins. The result is byte-identical to the general executor
 //! (enforced by the `fastpath_identity` differential tests against
 //! `EventMachine::run_general`, which forces the general path).
 //!
 //! The fast path refuses to engage unless nothing can observe
-//! individual events — no trace, no fault plan, no hierarchy — and
-//! every rank's program claims the *same*
-//! [`AnalyticOp`](crate::AnalyticOp) (data-mode programs claim none).
+//! individual events — no trace, no fault plan, no hierarchy — and the
+//! program claims an [`AnalyticOp`](crate::AnalyticOp) (data-mode
+//! programs claim none). The claim is one per program, not one per
+//! rank, so the fast path builds no rank bodies at all.
 //! The guard in [`try_run`] names every `SimConfig` field, so a new
 //! field does not compile until it is classified there.
 
@@ -78,11 +79,7 @@ impl Prices {
 
 /// Price the run analytically if every guard passes; `None` falls back
 /// to the general executor.
-pub(crate) fn try_run<P: RankProgram>(
-    p: usize,
-    cfg: &SimConfig,
-    programs: &[P],
-) -> Option<Profile> {
+pub(crate) fn try_run<P: RankProgram>(p: usize, cfg: &SimConfig, program: &P) -> Option<Profile> {
     let SimConfig {
         // Observe individual events: the fast path refuses.
         record_trace,
@@ -106,10 +103,7 @@ pub(crate) fn try_run<P: RankProgram>(
     if *record_trace || faults.is_some() || hierarchy.is_some() {
         return None;
     }
-    let op = programs.first()?.analytic()?;
-    if programs.iter().any(|prog| prog.analytic() != Some(op)) {
-        return None;
-    }
+    let op = program.analytic()?;
     let prices = |words: usize| Prices {
         link: LinkPrice::flat(*alpha_t, *beta_t),
         gamma: *gamma_t,
@@ -121,7 +115,7 @@ pub(crate) fn try_run<P: RankProgram>(
         AnalyticOp::BinomialAllreduce { words } => binomial(p, prices(words)),
         AnalyticOp::RecursiveDoublingAllreduce { words } => {
             if !p.is_power_of_two() {
-                return None; // the program would have panicked in new()
+                return None; // the body itself rejects such a world
             }
             recursive_doubling(p, prices(words))
         }
@@ -241,18 +235,13 @@ mod tests {
     use psse_sim::machine::Hierarchy;
     use psse_sim::{SimConfig, Tag};
 
-    fn counted(p: usize) -> Vec<BinomialAllreduce> {
-        let make = BinomialAllreduce::counted(Tag(0), 100);
-        (0..p).map(|r| make(r, p)).collect()
-    }
-
     /// The fast path must actually engage on the headline workload —
     /// byte-identity alone can't prove that (identical output is the
     /// whole point), so pin the dispatch decision here.
     #[test]
     fn engages_for_counted_binomial() {
-        let programs = counted(64);
-        let profile = try_run(64, &SimConfig::default(), &programs).expect("fast path");
+        let program = BinomialAllreduce::counted(Tag(0), 100);
+        let profile = try_run(64, &SimConfig::default(), &program).expect("fast path");
         let t = BinomialAllreduce::expected_totals(64, 100, 1 << 16);
         assert_eq!(profile.total_msgs_sent(), t.msgs);
         assert_eq!(profile.total_words_sent(), t.words);
@@ -263,12 +252,12 @@ mod tests {
     /// Every event-observing feature must force the general path.
     #[test]
     fn guards_refuse_trace_faults_hierarchy_and_data() {
-        let programs = counted(8);
+        let program = BinomialAllreduce::counted(Tag(0), 100);
         let traced = SimConfig {
             record_trace: true,
             ..SimConfig::default()
         };
-        assert!(try_run(8, &traced, &programs).is_none());
+        assert!(try_run(8, &traced, &program).is_none());
         let faulted = SimConfig {
             faults: Some(FaultPlan {
                 spec: FaultSpec {
@@ -283,7 +272,7 @@ mod tests {
             }),
             ..SimConfig::default()
         };
-        assert!(try_run(8, &faulted, &programs).is_none());
+        assert!(try_run(8, &faulted, &program).is_none());
         let hierarchical = SimConfig {
             hierarchy: Some(Hierarchy {
                 cores_per_node: 4,
@@ -292,9 +281,8 @@ mod tests {
             }),
             ..SimConfig::default()
         };
-        assert!(try_run(8, &hierarchical, &programs).is_none());
-        let make = BinomialAllreduce::with_data(Tag(0), vec![1.0; 8]);
-        let data_mode: Vec<BinomialAllreduce> = (0..8).map(|r| make(r, 8)).collect();
+        assert!(try_run(8, &hierarchical, &program).is_none());
+        let data_mode = BinomialAllreduce::with_data(Tag(0), vec![1.0; 8]);
         assert!(try_run(8, &SimConfig::default(), &data_mode).is_none());
     }
 }

@@ -1,19 +1,19 @@
-//! Built-in rank programs: the paper's real algorithms in resumable
-//! form, with closed-form Eq. 1 count helpers for exact verification.
+//! Built-in rank programs: the paper's real algorithms as `async` rank
+//! bodies, with closed-form Eq. 1 count helpers for exact verification.
 //!
 //! [`BinomialAllreduce`] replays `psse-sim`'s
 //! `Rank::allreduce_sum` (binomial reduce to rank 0, binomial
 //! broadcast back, including the nested collective trace markers)
-//! step-for-step, so on the thread backend it is bit-identical to the
-//! native collective — that test is the anchor of the whole backend's
-//! fidelity. [`RecursiveDoublingAllreduce`] and [`RingAllreduce`] are
-//! the classic alternatives with different S/W trade-offs, and
-//! [`Matmul25D`] is the communication skeleton of the paper's 2.5D
-//! matrix multiply (replication, Cannon-style shifts, layer reduction)
-//! in counted form for `p = 10^5`–`10^6` runs. Beyond linear algebra,
-//! [`SampleSort`] is the regular-sampling distributed sort (the
-//! Scquizzato–Silvestri bound family: `W = Θ(n/p)` attained, but
-//! `S = Θ(p)` — the scaling-breaker) and [`Stencil1D`] the iterated
+//! operation for operation, so on the thread backend it is
+//! bit-identical to the native collective — that test is the anchor of
+//! the whole backend's fidelity. [`RecursiveDoublingAllreduce`] and
+//! [`RingAllreduce`] are the classic alternatives with different S/W
+//! trade-offs, and [`Matmul25D`] is the communication skeleton of the
+//! paper's 2.5D matrix multiply (replication, Cannon-style shifts,
+//! layer reduction) in counted form for `p = 10^5`–`10^6` runs. Beyond
+//! linear algebra, [`SampleSort`] is the regular-sampling distributed
+//! sort (the Scquizzato–Silvestri bound family: `W = Θ(n/p)` attained,
+//! but `S = Θ(p)` — the scaling-breaker) and [`Stencil1D`] the iterated
 //! periodic halo-exchange stencil (surface `W = Θ(h·n)` per slab,
 //! `S = 2` per sweep).
 //!
@@ -21,10 +21,12 @@
 //! allocated — mandatory at mega-scale) and the allreduces, the sort
 //! and the stencil also run in *data* mode carrying real values (used
 //! by the cross-backend identity tests, where results must match too).
+//! A data-mode body returns its rank's values; a counted one returns
+//! `None`.
 
-use crate::program::{AnalyticOp, RankProgram};
-use crate::step::{Delivered, Payload, Step};
-use psse_sim::{SharedPayload, Tag};
+use crate::program::{AnalyticOp, Comm, Payload, RankProgram};
+use psse_sim::Tag;
+use std::future::Future;
 use std::sync::Arc;
 
 /// Exact Eq. 1 operation totals for a program over the whole machine.
@@ -48,112 +50,109 @@ fn chunks(words: u64, m: u64) -> u64 {
     }
 }
 
-/// The payload a program sends: real data when it has any, counted
-/// words otherwise.
-#[derive(Debug, Clone)]
-enum Buf {
-    Counted(usize),
-    Data(SharedPayload),
+/// Merge a delivered contribution into `acc` elementwise (data mode
+/// only; the arithmetic itself is free — the matching `compute` prices
+/// the adds, exactly like `reduce_sum_impl`).
+fn merge(acc: &mut Payload, d: &Payload) {
+    assert_eq!(
+        d.words(),
+        acc.words(),
+        "reduce contributions disagree in length"
+    );
+    if let Payload::Data(acc) = acc {
+        for (a, b) in Arc::make_mut(acc).iter_mut().zip(d.values()) {
+            *a += b;
+        }
+    }
 }
 
-impl Buf {
-    fn words(&self) -> usize {
-        match self {
-            Buf::Counted(w) => *w,
-            Buf::Data(d) => d.len(),
-        }
+/// A body's result: its final buffer in data mode, `None` when counted
+/// (the thread backend delivers counted transfers as zero-filled
+/// buffers, so the mode is the program's, not the buffer's).
+fn result(acc: Payload, counted: bool) -> Option<Vec<f64>> {
+    match acc {
+        Payload::Data(d) if !counted => Some(Arc::unwrap_or_clone(d)),
+        _ => None,
     }
+}
 
-    fn payload(&self) -> Payload {
-        match self {
-            Buf::Counted(w) => Payload::Counted(*w),
-            Buf::Data(d) => Payload::Data(Arc::clone(d)),
-        }
+/// The analytic claim of an allreduce started from `init`: counted runs
+/// are priceable in closed form, data mode must run so payloads merge.
+fn claim(init: &Payload, op: fn(usize) -> AnalyticOp) -> Option<AnalyticOp> {
+    match init {
+        Payload::Counted(words) => Some(op(*words)),
+        Payload::Data(_) => None,
     }
+}
 
-    /// Merge a delivered contribution elementwise (data mode only; the
-    /// arithmetic itself is free — the matching `Compute` step prices
-    /// the adds, exactly like `reduce_sum_impl`).
-    fn merge(&mut self, d: &Delivered) {
-        assert_eq!(
-            d.words,
-            self.words(),
-            "reduce contributions disagree in length"
-        );
-        if let Buf::Data(acc) = self {
-            let acc = Arc::make_mut(acc);
-            for (a, b) in acc.iter_mut().zip(d.values()) {
-                *a += b;
+/// Binomial-tree reduce of `acc` to vertex 0 of a `g`-vertex group in
+/// which this rank is vertex `v`: at level `k` a vertex with bit `k`
+/// set sends to `v − 2^k` and is done; the others receive from
+/// `v + 2^k` (when it exists) and merge at `acc.words()` flops.
+/// `rank_of` maps vertices to ranks and `tag` tags each level.
+///
+/// Not an `async fn`: that form stores its arguments twice in the
+/// future's state, and this future is nested in every allreduce and
+/// matmul rank body that a mega-scale run keeps alive (the same reason
+/// the programs' `start` methods return `async move` blocks).
+#[allow(clippy::manual_async_fn)]
+fn tree_reduce<'a>(
+    comm: &'a Comm,
+    v: usize,
+    g: usize,
+    rank_of: impl Fn(usize) -> usize + 'a,
+    tag: impl Fn(u64) -> Tag + 'a,
+    acc: &'a mut Payload,
+) -> impl Future<Output = ()> + 'a {
+    async move {
+        let mut mask = 1usize;
+        let mut level = 0u64;
+        while mask < g {
+            if v & mask != 0 {
+                comm.send(rank_of(v - mask), tag(level), acc.clone());
+                return;
             }
+            if v + mask < g {
+                let d = comm.recv(rank_of(v + mask), tag(level)).await;
+                comm.compute(acc.words() as u64);
+                merge(acc, &d);
+            }
+            mask <<= 1;
+            level += 1;
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Binomial allreduce (the native collective, resumable)
+// Binomial allreduce (the native collective)
 // ---------------------------------------------------------------------
 
-enum ArState {
-    Begin,
-    BeginReduce,
-    Reduce,
-    ReduceMerge,
-    EndReduce,
-    BeginBcast,
-    BcastRoot,
-    BcastFan,
-    EndBcast,
-    End,
-    Done,
-}
-
-/// `Rank::allreduce_sum` as a resumable program: binomial-tree reduce
-/// to rank 0 (`⌈log₂p⌉` rounds, one `n`-flop merge per child), then
-/// binomial-tree broadcast back at tag offset 64 — the exact step and
-/// trace-marker sequence of the thread backend's native collective.
+/// `Rank::allreduce_sum` as a rank program: binomial-tree reduce to
+/// rank 0 (`⌈log₂p⌉` rounds, one `n`-flop merge per child), then
+/// binomial-tree broadcast back at tag offset 64 — the exact operation
+/// and trace-marker sequence of the thread backend's native collective.
+#[derive(Debug, Clone)]
 pub struct BinomialAllreduce {
     tag: Tag,
-    acc: Buf,
-    st: ArState,
-    p: usize,
-    me: usize,
-    mask: usize,
-    round: u64,
-    fan_mask: usize,
+    init: Payload,
 }
 
 impl BinomialAllreduce {
     /// Counted mode: price an allreduce of `words` words per rank
     /// without allocating payloads (the mega-scale form).
-    pub fn counted(tag: Tag, words: usize) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| Self::new(tag, Buf::Counted(words), me, p)
-    }
-
-    /// Data mode: really sum `data` across all ranks (every rank ends
-    /// with the elementwise global sum, retrievable via
-    /// [`BinomialAllreduce::result`]).
-    pub fn with_data(tag: Tag, data: Vec<f64>) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| Self::new(tag, Buf::Data(Arc::new(data.clone())), me, p)
-    }
-
-    fn new(tag: Tag, acc: Buf, me: usize, p: usize) -> Self {
+    pub fn counted(tag: Tag, words: usize) -> Self {
         BinomialAllreduce {
             tag,
-            acc,
-            st: ArState::Begin,
-            p,
-            me,
-            mask: 1,
-            round: 0,
-            fan_mask: 0,
+            init: Payload::Counted(words),
         }
     }
 
-    /// The reduced values (data mode, after the run completes).
-    pub fn result(&self) -> Option<&[f64]> {
-        match &self.acc {
-            Buf::Data(d) => Some(d),
-            Buf::Counted(_) => None,
+    /// Data mode: really sum `data` across all ranks (every rank's body
+    /// returns the elementwise global sum).
+    pub fn with_data(tag: Tag, data: Vec<f64>) -> Self {
+        BinomialAllreduce {
+            tag,
+            init: Payload::Data(Arc::new(data)),
         }
     }
 
@@ -171,123 +170,44 @@ impl BinomialAllreduce {
 }
 
 impl RankProgram for BinomialAllreduce {
-    /// Counted runs are analytically priceable; data mode must step so
-    /// payloads actually merge.
-    fn analytic(&self) -> Option<AnalyticOp> {
-        match self.acc {
-            Buf::Counted(words) => Some(AnalyticOp::BinomialAllreduce { words }),
-            Buf::Data(_) => None,
+    type Output = Option<Vec<f64>>;
+
+    fn start(&self, comm: Comm) -> impl Future<Output = Self::Output> {
+        let (tag, mut acc) = (self.tag, self.init.clone());
+        async move {
+            let counted = matches!(acc, Payload::Counted(_));
+            let (g, v) = (comm.size(), comm.rank()); // world group, root 0
+            comm.mark_collective_begin("allreduce_sum");
+            comm.mark_collective_begin("reduce_sum");
+            tree_reduce(&comm, v, g, |u| u, |k| tag.offset(k), &mut acc).await;
+            comm.mark_collective_end("reduce_sum");
+            comm.mark_collective_begin("broadcast");
+            // The root fans out from the top level; every other rank first
+            // takes the sum from its parent `v − lowbit(v)` — the payload
+            // replaces its buffer, and the same Arc fans out below (zero-copy).
+            let mut mask = if v == 0 {
+                g.next_power_of_two() >> 1
+            } else {
+                let lowbit = v & v.wrapping_neg();
+                let level = lowbit.trailing_zeros() as u64;
+                acc = comm.recv(v - lowbit, tag.offset(64 + level)).await;
+                lowbit >> 1
+            };
+            while mask > 0 {
+                if v + mask < g {
+                    let level = mask.trailing_zeros() as u64;
+                    comm.send(v + mask, tag.offset(64 + level), acc.clone());
+                }
+                mask >>= 1;
+            }
+            comm.mark_collective_end("broadcast");
+            comm.mark_collective_end("allreduce_sum");
+            result(acc, counted)
         }
     }
 
-    fn next(&mut self, delivered: Option<Delivered>) -> Step {
-        let (g, v) = (self.p, self.me); // world group, root 0: v == me
-        loop {
-            match self.st {
-                ArState::Begin => {
-                    self.st = ArState::BeginReduce;
-                    return Step::CollBegin {
-                        op: "allreduce_sum",
-                    };
-                }
-                ArState::BeginReduce => {
-                    self.st = ArState::Reduce;
-                    return Step::CollBegin { op: "reduce_sum" };
-                }
-                ArState::Reduce => {
-                    if self.mask >= g {
-                        self.st = ArState::EndReduce;
-                        continue;
-                    }
-                    if v & self.mask != 0 {
-                        // Child: one send to the parent ends my reduce.
-                        let parent = v - self.mask;
-                        let tag = self.tag.offset(self.round);
-                        self.st = ArState::EndReduce;
-                        return Step::Send {
-                            dest: parent,
-                            tag,
-                            payload: self.acc.payload(),
-                        };
-                    }
-                    let child = v + self.mask;
-                    if child < g {
-                        let tag = self.tag.offset(self.round);
-                        self.st = ArState::ReduceMerge;
-                        return Step::Recv { src: child, tag };
-                    }
-                    self.mask <<= 1;
-                    self.round += 1;
-                }
-                ArState::ReduceMerge => {
-                    let d = delivered.as_ref().expect("recv step delivers");
-                    let flops = self.acc.words() as u64;
-                    self.acc.merge(d);
-                    self.mask <<= 1;
-                    self.round += 1;
-                    self.st = ArState::Reduce;
-                    return Step::Compute { flops };
-                }
-                ArState::EndReduce => {
-                    self.st = ArState::BeginBcast;
-                    return Step::CollEnd { op: "reduce_sum" };
-                }
-                ArState::BeginBcast => {
-                    self.st = ArState::BcastRoot;
-                    return Step::CollBegin { op: "broadcast" };
-                }
-                ArState::BcastRoot => {
-                    if v == 0 {
-                        self.fan_mask = g.next_power_of_two() >> 1;
-                        self.st = ArState::BcastFan;
-                        continue;
-                    }
-                    let lowbit = v & v.wrapping_neg();
-                    let round = lowbit.trailing_zeros() as u64;
-                    self.st = ArState::BcastFan; // fan starts after recv
-                    self.fan_mask = lowbit >> 1;
-                    return Step::Recv {
-                        src: v - lowbit,
-                        tag: self.tag.offset(64 + round),
-                    };
-                }
-                ArState::BcastFan => {
-                    if let Some(d) = delivered.as_ref() {
-                        // The broadcast payload replaces my buffer
-                        // (zero-copy: the same Arc fans out below).
-                        self.acc = match &d.data {
-                            Some(data) => Buf::Data(Arc::clone(data)),
-                            None => Buf::Counted(d.words),
-                        };
-                    }
-                    while self.fan_mask > 0 {
-                        let mask = self.fan_mask;
-                        self.fan_mask >>= 1;
-                        let child = v + mask;
-                        if child < g {
-                            let round = mask.trailing_zeros() as u64;
-                            return Step::Send {
-                                dest: child,
-                                tag: self.tag.offset(64 + round),
-                                payload: self.acc.payload(),
-                            };
-                        }
-                    }
-                    self.st = ArState::EndBcast;
-                }
-                ArState::EndBcast => {
-                    self.st = ArState::End;
-                    return Step::CollEnd { op: "broadcast" };
-                }
-                ArState::End => {
-                    self.st = ArState::Done;
-                    return Step::CollEnd {
-                        op: "allreduce_sum",
-                    };
-                }
-                ArState::Done => return Step::Done,
-            }
-        }
+    fn analytic(&self) -> Option<AnalyticOp> {
+        claim(&self.init, |words| AnalyticOp::BinomialAllreduce { words })
     }
 }
 
@@ -295,59 +215,30 @@ impl RankProgram for BinomialAllreduce {
 // Recursive-doubling allreduce
 // ---------------------------------------------------------------------
 
-enum RdState {
-    Begin,
-    Round,
-    Sent,
-    Merge,
-    End,
-    Done,
-}
-
 /// Recursive-doubling allreduce (`p` a power of two): `log₂p` rounds of
 /// pairwise exchange with partner `me ⊕ 2^k`, each followed by an
 /// `n`-flop merge. Latency-optimal: every rank is done after `log₂p`
 /// sends, at the cost of `p·log₂p` total messages.
+#[derive(Debug, Clone)]
 pub struct RecursiveDoublingAllreduce {
     tag: Tag,
-    acc: Buf,
-    st: RdState,
-    p: usize,
-    me: usize,
-    k: u64,
+    init: Payload,
 }
 
 impl RecursiveDoublingAllreduce {
     /// Counted mode (see [`BinomialAllreduce::counted`]).
-    pub fn counted(tag: Tag, words: usize) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| Self::new(tag, Buf::Counted(words), me, p)
-    }
-
-    /// Data mode: every rank ends with the elementwise global sum.
-    pub fn with_data(tag: Tag, data: Vec<f64>) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| Self::new(tag, Buf::Data(Arc::new(data.clone())), me, p)
-    }
-
-    fn new(tag: Tag, acc: Buf, me: usize, p: usize) -> Self {
-        assert!(
-            p.is_power_of_two(),
-            "recursive doubling requires p to be a power of two, got {p}"
-        );
+    pub fn counted(tag: Tag, words: usize) -> Self {
         RecursiveDoublingAllreduce {
             tag,
-            acc,
-            st: RdState::Begin,
-            p,
-            me,
-            k: 0,
+            init: Payload::Counted(words),
         }
     }
 
-    /// The reduced values (data mode, after the run completes).
-    pub fn result(&self) -> Option<&[f64]> {
-        match &self.acc {
-            Buf::Data(d) => Some(d),
-            Buf::Counted(_) => None,
+    /// Data mode: every rank ends with the elementwise global sum.
+    pub fn with_data(tag: Tag, data: Vec<f64>) -> Self {
+        RecursiveDoublingAllreduce {
+            tag,
+            init: Payload::Data(Arc::new(data)),
         }
     }
 
@@ -364,57 +255,35 @@ impl RecursiveDoublingAllreduce {
 }
 
 impl RankProgram for RecursiveDoublingAllreduce {
-    /// Counted runs are analytically priceable; data mode must step.
-    fn analytic(&self) -> Option<AnalyticOp> {
-        match self.acc {
-            Buf::Counted(words) => Some(AnalyticOp::RecursiveDoublingAllreduce { words }),
-            Buf::Data(_) => None,
+    type Output = Option<Vec<f64>>;
+
+    fn start(&self, comm: Comm) -> impl Future<Output = Self::Output> {
+        let p = comm.size();
+        assert!(
+            p.is_power_of_two(),
+            "recursive doubling requires p to be a power of two, got {p}"
+        );
+        let (tag, mut acc) = (self.tag, self.init.clone());
+        async move {
+            let counted = matches!(acc, Payload::Counted(_));
+            let me = comm.rank();
+            comm.mark_collective_begin("allreduce_rd");
+            for k in 0..p.trailing_zeros() as u64 {
+                let partner = me ^ (1usize << k);
+                comm.send(partner, tag.offset(k), acc.clone());
+                let d = comm.recv(partner, tag.offset(k)).await;
+                comm.compute(acc.words() as u64);
+                merge(&mut acc, &d);
+            }
+            comm.mark_collective_end("allreduce_rd");
+            result(acc, counted)
         }
     }
 
-    fn next(&mut self, delivered: Option<Delivered>) -> Step {
-        loop {
-            match self.st {
-                RdState::Begin => {
-                    self.st = RdState::Round;
-                    return Step::CollBegin { op: "allreduce_rd" };
-                }
-                RdState::Round => {
-                    if 1usize << self.k >= self.p {
-                        self.st = RdState::End;
-                        continue;
-                    }
-                    let partner = self.me ^ (1usize << self.k);
-                    self.st = RdState::Sent;
-                    return Step::Send {
-                        dest: partner,
-                        tag: self.tag.offset(self.k),
-                        payload: self.acc.payload(),
-                    };
-                }
-                RdState::Sent => {
-                    let partner = self.me ^ (1usize << self.k);
-                    self.st = RdState::Merge;
-                    return Step::Recv {
-                        src: partner,
-                        tag: self.tag.offset(self.k),
-                    };
-                }
-                RdState::Merge => {
-                    let d = delivered.as_ref().expect("recv step delivers");
-                    let flops = self.acc.words() as u64;
-                    self.acc.merge(d);
-                    self.k += 1;
-                    self.st = RdState::Round;
-                    return Step::Compute { flops };
-                }
-                RdState::End => {
-                    self.st = RdState::Done;
-                    return Step::CollEnd { op: "allreduce_rd" };
-                }
-                RdState::Done => return Step::Done,
-            }
-        }
+    fn analytic(&self) -> Option<AnalyticOp> {
+        claim(&self.init, |words| AnalyticOp::RecursiveDoublingAllreduce {
+            words,
+        })
     }
 }
 
@@ -422,62 +291,32 @@ impl RankProgram for RecursiveDoublingAllreduce {
 // Ring allreduce
 // ---------------------------------------------------------------------
 
-enum RingState {
-    Begin,
-    Round,
-    Sent,
-    Merge,
-    End,
-    Done,
-}
-
 /// Naive ring allreduce: in each of `p − 1` rounds every rank forwards
 /// the block it last received (initially its own contribution) to its
 /// right neighbour and accumulates the block arriving from the left.
 /// After `p − 1` rounds every original block has visited every rank, so
 /// all ranks hold the global sum. `O(p²)` total messages — the
 /// bandwidth-hungry baseline the tree algorithms beat.
+#[derive(Debug, Clone)]
 pub struct RingAllreduce {
     tag: Tag,
-    /// The accumulated sum.
-    acc: Buf,
-    /// The block to forward next (the last one received).
-    fwd: Buf,
-    st: RingState,
-    p: usize,
-    me: usize,
-    round: u64,
+    init: Payload,
 }
 
 impl RingAllreduce {
     /// Counted mode (see [`BinomialAllreduce::counted`]).
-    pub fn counted(tag: Tag, words: usize) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| Self::new(tag, Buf::Counted(words), me, p)
-    }
-
-    /// Data mode: every rank ends with the elementwise global sum.
-    pub fn with_data(tag: Tag, data: Vec<f64>) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| Self::new(tag, Buf::Data(Arc::new(data.clone())), me, p)
-    }
-
-    fn new(tag: Tag, acc: Buf, me: usize, p: usize) -> Self {
-        let fwd = acc.clone();
+    pub fn counted(tag: Tag, words: usize) -> Self {
         RingAllreduce {
             tag,
-            acc,
-            fwd,
-            st: RingState::Begin,
-            p,
-            me,
-            round: 0,
+            init: Payload::Counted(words),
         }
     }
 
-    /// The reduced values (data mode, after the run completes).
-    pub fn result(&self) -> Option<&[f64]> {
-        match &self.acc {
-            Buf::Data(d) => Some(d),
-            Buf::Counted(_) => None,
+    /// Data mode: every rank ends with the elementwise global sum.
+    pub fn with_data(tag: Tag, data: Vec<f64>) -> Self {
+        RingAllreduce {
+            tag,
+            init: Payload::Data(Arc::new(data)),
         }
     }
 
@@ -494,66 +333,29 @@ impl RingAllreduce {
 }
 
 impl RankProgram for RingAllreduce {
-    /// Counted runs are analytically priceable; data mode must step.
-    fn analytic(&self) -> Option<AnalyticOp> {
-        match self.acc {
-            Buf::Counted(words) => Some(AnalyticOp::RingAllreduce { words }),
-            Buf::Data(_) => None,
+    type Output = Option<Vec<f64>>;
+
+    fn start(&self, comm: Comm) -> impl Future<Output = Self::Output> {
+        let (tag, mut acc) = (self.tag, self.init.clone());
+        async move {
+            let counted = matches!(acc, Payload::Counted(_));
+            let (p, me) = (comm.size(), comm.rank());
+            // The block to forward next: my own, then the last one received.
+            let mut fwd = acc.clone();
+            comm.mark_collective_begin("allreduce_ring");
+            for round in 0..p as u64 - 1 {
+                comm.send((me + 1) % p, tag.offset(round), fwd);
+                fwd = comm.recv((me + p - 1) % p, tag.offset(round)).await;
+                comm.compute(acc.words() as u64);
+                merge(&mut acc, &fwd);
+            }
+            comm.mark_collective_end("allreduce_ring");
+            result(acc, counted)
         }
     }
 
-    fn next(&mut self, delivered: Option<Delivered>) -> Step {
-        loop {
-            match self.st {
-                RingState::Begin => {
-                    self.st = RingState::Round;
-                    return Step::CollBegin {
-                        op: "allreduce_ring",
-                    };
-                }
-                RingState::Round => {
-                    if self.round as usize >= self.p - 1 {
-                        self.st = RingState::End;
-                        continue;
-                    }
-                    let right = (self.me + 1) % self.p;
-                    self.st = RingState::Sent;
-                    return Step::Send {
-                        dest: right,
-                        tag: self.tag.offset(self.round),
-                        payload: self.fwd.payload(),
-                    };
-                }
-                RingState::Sent => {
-                    let left = (self.me + self.p - 1) % self.p;
-                    self.st = RingState::Merge;
-                    return Step::Recv {
-                        src: left,
-                        tag: self.tag.offset(self.round),
-                    };
-                }
-                RingState::Merge => {
-                    let d = delivered.as_ref().expect("recv step delivers");
-                    let flops = self.acc.words() as u64;
-                    self.acc.merge(d);
-                    // Forward the received block onward next round.
-                    self.fwd = match &d.data {
-                        Some(data) => Buf::Data(Arc::clone(data)),
-                        None => Buf::Counted(d.words),
-                    };
-                    self.round += 1;
-                    self.st = RingState::Round;
-                    return Step::Compute { flops };
-                }
-                RingState::End => {
-                    self.st = RingState::Done;
-                    return Step::CollEnd {
-                        op: "allreduce_ring",
-                    };
-                }
-                RingState::Done => return Step::Done,
-            }
-        }
+    fn analytic(&self) -> Option<AnalyticOp> {
+        claim(&self.init, |words| AnalyticOp::RingAllreduce { words })
     }
 }
 
@@ -567,22 +369,6 @@ const MM_REP_A: u64 = 0;
 const MM_REP_B: u64 = 1;
 const MM_SHIFT: u64 = 16;
 const MM_REDUCE: u64 = 1 << 40;
-
-enum MmState {
-    Begin,
-    RepSend,
-    RepRecvA,
-    RepRecvB,
-    RoundCompute,
-    ShiftSendA,
-    ShiftSendB,
-    ShiftRecvA,
-    ShiftRecvB,
-    Reduce,
-    ReduceMerge,
-    End,
-    Done,
-}
 
 /// The communication skeleton of the paper's 2.5D matrix multiply on a
 /// `q × q × c` grid (`p = q²c`, `c | q`), counted payloads only:
@@ -598,65 +384,22 @@ enum MmState {
 /// [`Matmul25D::expected_totals`] gives the exact Eq. 1 counts, so a
 /// `p = 10^6` run can be verified word-for-word against the closed
 /// form.
+#[derive(Debug, Clone)]
 pub struct Matmul25D {
     q: usize,
     c: usize,
-    /// Block words: `b²`.
-    bw: usize,
     /// Block dimension `b`.
     b: u64,
-    st: MmState,
-    /// Grid coordinates: row, column, layer.
-    i: usize,
-    j: usize,
-    k: usize,
-    /// Replication fan-out cursor (layer-0 ranks): next layer, phase.
-    rep_layer: usize,
-    rep_b: bool,
-    /// Shift round cursor.
-    round: usize,
-    /// Layer-reduce mask walk.
-    mask: usize,
-    red_round: u64,
 }
 
 impl Matmul25D {
-    /// Build the per-rank constructor for a `q × q × c` grid with block
-    /// dimension `b` (so blocks are `b²` words). Panics unless
-    /// `c >= 1`, `q % c == 0`.
-    pub fn counted(q: usize, c: usize, b: u64) -> impl Fn(usize, usize) -> Self + Sync {
+    /// The program for a `q × q × c` grid with block dimension `b` (so
+    /// blocks are `b²` words). Panics unless `c >= 1`, `q % c == 0`;
+    /// each body panics unless `p = q²c`.
+    pub fn counted(q: usize, c: usize, b: u64) -> Self {
         assert!(c >= 1, "2.5D grid needs c >= 1");
         assert_eq!(q % c, 0, "2.5D grid needs c | q (got q={q}, c={c})");
-        move |me, p| {
-            assert_eq!(p, q * q * c, "p must equal q*q*c");
-            let k = me / (q * q);
-            let i = (me % (q * q)) / q;
-            let j = me % q;
-            Matmul25D {
-                q,
-                c,
-                bw: (b * b) as usize,
-                b,
-                st: MmState::Begin,
-                i,
-                j,
-                k,
-                rep_layer: 1,
-                rep_b: false,
-                round: 0,
-                mask: 1,
-                red_round: 0,
-            }
-        }
-    }
-
-    fn id(&self, i: usize, j: usize, k: usize) -> usize {
-        k * self.q * self.q + i * self.q + j
-    }
-
-    /// Shift rounds per layer: `s = q / c`.
-    fn s(&self) -> usize {
-        self.q / self.c
+        Matmul25D { q, c, b }
     }
 
     /// Closed-form Eq. 1 totals for the whole machine (blocks of `b²`
@@ -679,139 +422,42 @@ impl Matmul25D {
 }
 
 impl RankProgram for Matmul25D {
-    fn next(&mut self, delivered: Option<Delivered>) -> Step {
-        let (q, c, bw) = (self.q, self.c, self.bw);
-        loop {
-            match self.st {
-                MmState::Begin => {
-                    self.st = if c == 1 {
-                        MmState::RoundCompute
-                    } else if self.k == 0 {
-                        MmState::RepSend
-                    } else {
-                        MmState::RepRecvA
-                    };
-                    return Step::CollBegin { op: "matmul_25d" };
+    type Output = ();
+
+    fn start(&self, comm: Comm) -> impl Future<Output = ()> {
+        let (q, c, b) = (self.q, self.c, self.b);
+        assert_eq!(comm.size(), q * q * c, "p must equal q*q*c");
+        async move {
+            let me = comm.rank();
+            // Grid coordinates: row, column, layer.
+            let (i, j, k) = ((me % (q * q)) / q, me % q, me / (q * q));
+            let id = |i: usize, j: usize, k: usize| k * q * q + i * q + j;
+            let block = || Payload::Counted((b * b) as usize);
+            comm.mark_collective_begin("matmul_25d");
+            // 1. Replication: layer 0 sends A and B up to every other layer.
+            if k == 0 {
+                for layer in 1..c {
+                    comm.send(id(i, j, layer), Tag(MM_REP_A), block());
+                    comm.send(id(i, j, layer), Tag(MM_REP_B), block());
                 }
-                MmState::RepSend => {
-                    if self.rep_layer >= c {
-                        self.st = MmState::RoundCompute;
-                        continue;
-                    }
-                    let dest = self.id(self.i, self.j, self.rep_layer);
-                    let tag = if self.rep_b {
-                        self.rep_layer += 1;
-                        Tag(MM_REP_B)
-                    } else {
-                        Tag(MM_REP_A)
-                    };
-                    self.rep_b = !self.rep_b;
-                    return Step::Send {
-                        dest,
-                        tag,
-                        payload: Payload::Counted(bw),
-                    };
-                }
-                MmState::RepRecvA => {
-                    self.st = MmState::RepRecvB;
-                    return Step::Recv {
-                        src: self.id(self.i, self.j, 0),
-                        tag: Tag(MM_REP_A),
-                    };
-                }
-                MmState::RepRecvB => {
-                    self.st = MmState::RoundCompute;
-                    return Step::Recv {
-                        src: self.id(self.i, self.j, 0),
-                        tag: Tag(MM_REP_B),
-                    };
-                }
-                MmState::RoundCompute => {
-                    let _ = delivered; // replication payload is counted
-                    if self.round >= self.s() {
-                        self.st = MmState::Reduce;
-                        continue;
-                    }
-                    self.st = MmState::ShiftSendA;
-                    return Step::Compute {
-                        flops: 2 * self.b * self.b * self.b,
-                    };
-                }
-                MmState::ShiftSendA => {
-                    let right = self.id(self.i, (self.j + 1) % q, self.k);
-                    self.st = MmState::ShiftSendB;
-                    return Step::Send {
-                        dest: right,
-                        tag: Tag(MM_SHIFT + 2 * self.round as u64),
-                        payload: Payload::Counted(bw),
-                    };
-                }
-                MmState::ShiftSendB => {
-                    let down = self.id((self.i + 1) % q, self.j, self.k);
-                    self.st = MmState::ShiftRecvA;
-                    return Step::Send {
-                        dest: down,
-                        tag: Tag(MM_SHIFT + 2 * self.round as u64 + 1),
-                        payload: Payload::Counted(bw),
-                    };
-                }
-                MmState::ShiftRecvA => {
-                    let left = self.id(self.i, (self.j + q - 1) % q, self.k);
-                    self.st = MmState::ShiftRecvB;
-                    return Step::Recv {
-                        src: left,
-                        tag: Tag(MM_SHIFT + 2 * self.round as u64),
-                    };
-                }
-                MmState::ShiftRecvB => {
-                    let up = self.id((self.i + q - 1) % q, self.j, self.k);
-                    self.round += 1;
-                    self.st = MmState::RoundCompute;
-                    return Step::Recv {
-                        src: up,
-                        tag: Tag(MM_SHIFT + 2 * (self.round as u64 - 1) + 1),
-                    };
-                }
-                MmState::Reduce => {
-                    // Binomial reduce of C across layers, root layer 0.
-                    let v = self.k;
-                    if self.mask >= c {
-                        self.st = MmState::End;
-                        continue;
-                    }
-                    if v & self.mask != 0 {
-                        let parent = self.id(self.i, self.j, v - self.mask);
-                        let tag = Tag(MM_REDUCE + self.red_round);
-                        self.st = MmState::End;
-                        return Step::Send {
-                            dest: parent,
-                            tag,
-                            payload: Payload::Counted(bw),
-                        };
-                    }
-                    let child_v = v + self.mask;
-                    if child_v < c {
-                        let child = self.id(self.i, self.j, child_v);
-                        let tag = Tag(MM_REDUCE + self.red_round);
-                        self.st = MmState::ReduceMerge;
-                        return Step::Recv { src: child, tag };
-                    }
-                    self.mask <<= 1;
-                    self.red_round += 1;
-                }
-                MmState::ReduceMerge => {
-                    debug_assert!(delivered.is_some(), "recv step delivers");
-                    self.mask <<= 1;
-                    self.red_round += 1;
-                    self.st = MmState::Reduce;
-                    return Step::Compute { flops: bw as u64 };
-                }
-                MmState::End => {
-                    self.st = MmState::Done;
-                    return Step::CollEnd { op: "matmul_25d" };
-                }
-                MmState::Done => return Step::Done,
+            } else {
+                comm.recv(id(i, j, 0), Tag(MM_REP_A)).await;
+                comm.recv(id(i, j, 0), Tag(MM_REP_B)).await;
             }
+            // 2. Shift-multiply: multiply, shift A right and B down.
+            for round in 0..(q / c) as u64 {
+                let (tag_a, tag_b) = (Tag(MM_SHIFT + 2 * round), Tag(MM_SHIFT + 2 * round + 1));
+                comm.compute(2 * b * b * b);
+                comm.send(id(i, (j + 1) % q, k), tag_a, block());
+                comm.send(id((i + 1) % q, j, k), tag_b, block());
+                comm.recv(id(i, (j + q - 1) % q, k), tag_a).await;
+                comm.recv(id((i + q - 1) % q, j, k), tag_b).await;
+            }
+            // 3. Layer reduction of C, root layer 0.
+            let rank_of = |layer| id(i, j, layer);
+            let tag = |level| Tag(MM_REDUCE + level);
+            tree_reduce(&comm, k, c, rank_of, tag, &mut block()).await;
+            comm.mark_collective_end("matmul_25d");
         }
     }
 }
@@ -839,104 +485,44 @@ fn sort_flops(x: usize) -> u64 {
     x as u64 * ceil_log2(x)
 }
 
-enum SsState {
-    Begin,
-    LocalSort,
-    SampleSend,
-    SampleRecv,
-    SplitterCompute,
-    Partition,
-    ExchangeSend,
-    ExchangeRecv,
-    Merge,
-    End,
-    Done,
+fn sort_keys(keys: &mut [f64]) {
+    keys.sort_by(|a, b| a.total_cmp(b));
 }
 
-/// Distributed sample sort as a resumable program: local sort, direct
-/// exchange of `p − 1` regular samples per rank, deterministic splitter
-/// agreement, bucket all-to-all, local merge. The same shape as
-/// `psse-algos`' `sample_sort` (identical per-rank `W = (p−1)·(p−1) +
-/// (exchange)` and `S = 2(p−1)`, so the `S = Θ(p)` scaling-breaker
-/// shows up at mega-scale too); in data mode the per-rank results equal
-/// the closure algorithm's buckets exactly.
+/// Distributed sample sort: local sort, direct exchange of `p − 1`
+/// regular samples per rank, deterministic splitter agreement, bucket
+/// all-to-all, local merge. The same shape as `psse-algos`'
+/// `sample_sort` (identical per-rank `W = (p−1)·(p−1) + (exchange)` and
+/// `S = 2(p−1)`, so the `S = Θ(p)` scaling-breaker shows up at
+/// mega-scale too); in data mode the per-rank results equal the closure
+/// algorithm's buckets exactly.
 ///
 /// Counted mode assumes perfectly uniform buckets (`bs/p` words each,
 /// requiring `p | bs`), which makes [`SampleSort::expected_totals`] an
 /// exact closed form; data mode carries the real keys with
 /// data-dependent bucket sizes.
+#[derive(Debug, Clone)]
 pub struct SampleSort {
-    me: usize,
-    p: usize,
-    /// Keys per rank.
+    /// Keys per rank (counted mode).
     bs: usize,
-    st: SsState,
-    /// `None` in counted mode; the sorted local block in data mode.
-    block: Option<Vec<f64>>,
-    /// Sample sets by source rank (data mode).
-    candidates: Vec<Vec<f64>>,
-    /// Outgoing buckets (data mode), indexed by destination.
-    buckets: Vec<Vec<f64>>,
-    /// Received buckets by source rank (data mode).
-    received: Vec<Vec<f64>>,
-    /// Words received (all modes; drives the merge charge).
-    recv_words: usize,
-    /// Final sorted bucket (data mode).
-    out: Option<Vec<f64>>,
-    /// Destination / source cursor within a phase.
-    cursor: usize,
-    /// Source whose delivery the next resumption carries.
-    pending: Option<usize>,
-    /// Shared sample payload (data mode, sent to every peer).
-    sample_buf: Option<SharedPayload>,
+    /// All keys, rank-major (data mode).
+    keys: Option<Vec<f64>>,
 }
 
 impl SampleSort {
-    /// Counted-mode constructor: `bs` keys per rank, uniform buckets.
-    /// Panics (per rank) unless `p | bs` and `bs ≥ p`.
-    pub fn counted(bs: usize) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| {
-            assert!(bs >= p, "samplesort: need bs >= p (bs={bs}, p={p})");
-            assert_eq!(bs % p, 0, "counted samplesort needs p | bs");
-            Self::new(me, p, bs, None)
-        }
+    /// Counted mode: `bs` keys per rank, uniform buckets. Each body
+    /// panics unless `p | bs` and `bs ≥ p`.
+    pub fn counted(bs: usize) -> Self {
+        SampleSort { bs, keys: None }
     }
 
-    /// Data-mode constructor: sorts `keys` (length a multiple of `p`,
-    /// block size at least `p`).
-    pub fn with_data(keys: Vec<f64>) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| {
-            let n = keys.len();
-            assert_eq!(n % p, 0, "samplesort: p must divide the key count");
-            let bs = n / p;
-            assert!(bs >= p, "samplesort: need n >= p²");
-            let block = keys[me * bs..(me + 1) * bs].to_vec();
-            Self::new(me, p, bs, Some(block))
-        }
-    }
-
-    fn new(me: usize, p: usize, bs: usize, block: Option<Vec<f64>>) -> Self {
+    /// Data mode: sorts `keys` (length a multiple of `p`, block size at
+    /// least `p`).
+    pub fn with_data(keys: Vec<f64>) -> Self {
         SampleSort {
-            me,
-            p,
-            bs,
-            st: SsState::Begin,
-            block,
-            candidates: vec![Vec::new(); p],
-            buckets: Vec::new(),
-            received: vec![Vec::new(); p],
-            recv_words: 0,
-            out: None,
-            cursor: 0,
-            pending: None,
-            sample_buf: None,
+            bs: 0,
+            keys: Some(keys),
         }
-    }
-
-    /// The rank's sorted bucket (data mode, after completion); the
-    /// concatenation across ranks is the globally sorted sequence.
-    pub fn result(&self) -> Option<&[f64]> {
-        self.out.as_deref()
     }
 
     /// Exact Eq. 1 totals for the counted skeleton (`s = p − 1` samples
@@ -958,170 +544,93 @@ impl SampleSort {
                 + bs * ceil_log2(p as usize));
         OpTotals { msgs, words, flops }
     }
-
-    /// Advance the peer cursor past `me`; returns the next peer or
-    /// `None` when the phase is exhausted.
-    fn next_peer(&mut self) -> Option<usize> {
-        if self.cursor == self.me {
-            self.cursor += 1;
-        }
-        if self.cursor < self.p {
-            let d = self.cursor;
-            self.cursor += 1;
-            Some(d)
-        } else {
-            None
-        }
-    }
 }
 
 impl RankProgram for SampleSort {
-    fn next(&mut self, delivered: Option<Delivered>) -> Step {
-        let mut delivered = delivered;
-        let (p, bs, s) = (self.p, self.bs, self.p - 1);
-        loop {
-            match self.st {
-                SsState::Begin => {
-                    self.st = SsState::LocalSort;
-                    return Step::CollBegin { op: "samplesort" };
-                }
-                SsState::LocalSort => {
-                    if let Some(block) = &mut self.block {
-                        block.sort_by(|a, b| a.total_cmp(b));
-                        // Regular samples at positions (i+1)·bs/p.
-                        let samples: Vec<f64> = (1..p).map(|i| block[i * bs / p]).collect();
-                        self.candidates[self.me] = samples.clone();
-                        self.sample_buf = Some(Arc::new(samples));
-                    }
-                    self.cursor = 0;
-                    self.st = SsState::SampleSend;
-                    return Step::Compute {
-                        flops: sort_flops(bs),
-                    };
-                }
-                SsState::SampleSend => match self.next_peer() {
-                    Some(dest) => {
-                        let payload = match &self.sample_buf {
-                            Some(buf) => Payload::Data(Arc::clone(buf)),
-                            None => Payload::Counted(s),
-                        };
-                        return Step::Send {
-                            dest,
-                            tag: Tag(SS_SAMPLE),
-                            payload,
-                        };
-                    }
-                    None => {
-                        self.cursor = 0;
-                        self.st = SsState::SampleRecv;
-                    }
-                },
-                SsState::SampleRecv => {
-                    if let (Some(src), Some(d)) = (self.pending.take(), delivered.take()) {
-                        if self.block.is_some() {
-                            self.candidates[src] = d.values().to_vec();
-                        }
-                    }
-                    match self.next_peer() {
-                        Some(src) => {
-                            self.pending = Some(src);
-                            return Step::Recv {
-                                src,
-                                tag: Tag(SS_SAMPLE),
-                            };
-                        }
-                        None => self.st = SsState::SplitterCompute,
-                    }
-                }
-                SsState::SplitterCompute => {
-                    self.st = SsState::Partition;
-                    return Step::Compute {
-                        flops: sort_flops(p * s),
-                    };
-                }
-                SsState::Partition => {
-                    if let Some(block) = &self.block {
-                        // All ranks sort the identical candidate
-                        // multiset (rank order), so all agree on the
-                        // p − 1 splitters — same rule as the closure
-                        // algorithm.
-                        let mut cand: Vec<f64> =
-                            self.candidates.iter().flatten().copied().collect();
-                        cand.sort_by(|a, b| a.total_cmp(b));
-                        let splitters: Vec<f64> = (0..s).map(|j| cand[(j + 1) * s]).collect();
-                        let mut cuts = vec![0usize];
-                        for sp in &splitters {
-                            cuts.push(block.partition_point(|x| x.total_cmp(sp).is_le()));
-                        }
-                        cuts.push(bs);
-                        self.buckets = (0..p)
-                            .map(|d| block[cuts[d]..cuts[d + 1]].to_vec())
-                            .collect();
-                        self.received[self.me] = self.buckets[self.me].clone();
-                        self.recv_words += self.buckets[self.me].len();
-                    } else {
-                        self.recv_words += bs / p; // own uniform bucket
-                    }
-                    self.cursor = 0;
-                    self.st = SsState::ExchangeSend;
-                    return Step::Compute {
-                        flops: s as u64 * ceil_log2(bs),
-                    };
-                }
-                SsState::ExchangeSend => match self.next_peer() {
-                    Some(dest) => {
-                        let payload = if self.block.is_some() {
-                            Payload::Data(Arc::new(std::mem::take(&mut self.buckets[dest])))
-                        } else {
-                            Payload::Counted(bs / p)
-                        };
-                        return Step::Send {
-                            dest,
-                            tag: Tag(SS_EXCHANGE),
-                            payload,
-                        };
-                    }
-                    None => {
-                        self.cursor = 0;
-                        self.st = SsState::ExchangeRecv;
-                    }
-                },
-                SsState::ExchangeRecv => {
-                    if let (Some(src), Some(d)) = (self.pending.take(), delivered.take()) {
-                        self.recv_words += d.words;
-                        if self.block.is_some() {
-                            self.received[src] = d.values().to_vec();
-                        }
-                    }
-                    match self.next_peer() {
-                        Some(src) => {
-                            self.pending = Some(src);
-                            return Step::Recv {
-                                src,
-                                tag: Tag(SS_EXCHANGE),
-                            };
-                        }
-                        None => self.st = SsState::Merge,
-                    }
-                }
-                SsState::Merge => {
-                    if self.block.is_some() {
-                        let mut bucket: Vec<f64> =
-                            self.received.iter().flatten().copied().collect();
-                        bucket.sort_by(|a, b| a.total_cmp(b));
-                        self.out = Some(bucket);
-                    }
-                    self.st = SsState::End;
-                    return Step::Compute {
-                        flops: self.recv_words as u64 * ceil_log2(p),
-                    };
-                }
-                SsState::End => {
-                    self.st = SsState::Done;
-                    return Step::CollEnd { op: "samplesort" };
-                }
-                SsState::Done => return Step::Done,
+    type Output = Option<Vec<f64>>;
+
+    fn start(&self, comm: Comm) -> impl Future<Output = Self::Output> {
+        let (p, me) = (comm.size(), comm.rank());
+        let (bs, mut block) = match &self.keys {
+            None => {
+                let bs = self.bs;
+                assert!(bs >= p, "samplesort: need bs >= p (bs={bs}, p={p})");
+                assert_eq!(bs % p, 0, "counted samplesort needs p | bs");
+                (bs, None)
             }
+            Some(keys) => {
+                assert_eq!(keys.len() % p, 0, "samplesort: p must divide the key count");
+                let bs = keys.len() / p;
+                assert!(bs >= p, "samplesort: need n >= p²");
+                (bs, Some(keys[me * bs..(me + 1) * bs].to_vec()))
+            }
+        };
+        async move {
+            let s = p - 1;
+            let peers = || (0..p).filter(move |&r| r != me);
+            comm.mark_collective_begin("samplesort");
+            // Local sort; regular samples at positions (i+1)·bs/p. In data
+            // mode `candidates` gathers every rank's samples. (The concatenation
+            // order is immaterial: candidates and buckets are sorted by
+            // `total_cmp`, under which equal keys are equal bits.)
+            let mut candidates = Vec::new();
+            let samples = match &mut block {
+                Some(block) => {
+                    sort_keys(block);
+                    candidates = (1..p).map(|i| block[i * bs / p]).collect();
+                    Payload::Data(Arc::new(candidates.clone()))
+                }
+                None => Payload::Counted(s),
+            };
+            comm.compute(sort_flops(bs));
+            for dest in peers() {
+                comm.send(dest, Tag(SS_SAMPLE), samples.clone());
+            }
+            for src in peers() {
+                let d = comm.recv(src, Tag(SS_SAMPLE)).await;
+                if block.is_some() {
+                    candidates.extend_from_slice(d.values());
+                }
+            }
+            comm.compute(sort_flops(p * s));
+            // All ranks sort the identical candidate multiset, so all agree on
+            // the p − 1 splitters — same rule as the closure algorithm.
+            let mut buckets: Vec<Vec<f64>> = Vec::new();
+            if let Some(block) = &block {
+                sort_keys(&mut candidates);
+                let mut cuts = vec![0usize];
+                for j in 0..s {
+                    let sp = candidates[(j + 1) * s];
+                    cuts.push(block.partition_point(|x| x.total_cmp(&sp).is_le()));
+                }
+                cuts.push(bs);
+                buckets = cuts
+                    .windows(2)
+                    .map(|w| block[w[0]..w[1]].to_vec())
+                    .collect();
+            }
+            comm.compute(s as u64 * ceil_log2(bs));
+            // Keep my own bucket; send every other one to its owner.
+            let mut mine = buckets.get_mut(me).map(std::mem::take).unwrap_or_default();
+            let mut recv_words = if block.is_some() { mine.len() } else { bs / p };
+            for dest in peers() {
+                let payload = match buckets.get_mut(dest) {
+                    Some(bucket) => Payload::Data(Arc::new(std::mem::take(bucket))),
+                    None => Payload::Counted(bs / p),
+                };
+                comm.send(dest, Tag(SS_EXCHANGE), payload);
+            }
+            for src in peers() {
+                let d = comm.recv(src, Tag(SS_EXCHANGE)).await;
+                recv_words += d.words();
+                if block.is_some() {
+                    mine.extend_from_slice(d.values());
+                }
+            }
+            sort_keys(&mut mine);
+            comm.compute(recv_words as u64 * ceil_log2(p));
+            comm.mark_collective_end("samplesort");
+            block.map(|_| mine)
         }
     }
 }
@@ -1133,90 +642,48 @@ impl RankProgram for SampleSort {
 /// Tag base for halo exchanges (4 tags per sweep).
 const ST_HALO: u64 = 1 << 22;
 
-enum StState {
-    Begin,
-    IterStart,
-    SendTop,
-    SendBottom,
-    RecvBottom,
-    RecvTop,
-    Update,
-    End,
-    Done,
-}
-
-/// The iterated periodic box stencil on `p` row slabs as a resumable
-/// program: each sweep sends the `h` top rows north and the `h` bottom
-/// rows south (`2` messages of `h·n` words per rank — the halo
-/// *surface*), then updates the `(n/p)·n` interior (the *volume*). In
-/// data mode the update sums the neighbourhood in the same `(di, dj)`
-/// order as `psse-algos`' `serial_stencil`, so per-rank results are
-/// bit-identical to the serial reference at any `p`.
+/// The iterated periodic box stencil on `p` row slabs: each sweep sends
+/// the `h` top rows north and the `h` bottom rows south (`2` messages
+/// of `h·n` words per rank — the halo *surface*), then updates the
+/// `(n/p)·n` interior (the *volume*). In data mode the update sums the
+/// neighbourhood in the same `(di, dj)` order as `psse-algos`'
+/// `serial_stencil`, so per-rank results are bit-identical to the
+/// serial reference at any `p`.
 ///
 /// [`Stencil1D::expected_totals`] is exact for both modes (the halo
 /// sizes are data-independent, unlike [`SampleSort`]'s buckets).
+#[derive(Debug, Clone)]
 pub struct Stencil1D {
-    me: usize,
-    p: usize,
     /// Grid side.
     n: usize,
     /// Halo width.
     h: usize,
     iters: usize,
-    /// Rows per rank: `n/p`.
-    rows: usize,
-    st: StState,
-    /// Sweep counter.
-    t: usize,
-    /// `None` in counted mode; the local row slab in data mode.
-    block: Option<Vec<f64>>,
-    halo_top: Vec<f64>,
-    halo_bottom: Vec<f64>,
+    /// The row-major `n × n` grid (data mode).
+    grid: Option<Vec<f64>>,
 }
 
 impl Stencil1D {
-    /// Counted-mode constructor. Panics (per rank) unless `p | n`,
+    /// Counted mode. Each body panics unless `p | n` and
     /// `1 ≤ h ≤ n/p`.
-    pub fn counted(n: usize, h: usize, iters: usize) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| Self::new(me, p, n, h, iters, None)
-    }
-
-    /// Data-mode constructor over a row-major `n × n` grid.
-    pub fn with_data(
-        grid: Vec<f64>,
-        n: usize,
-        h: usize,
-        iters: usize,
-    ) -> impl Fn(usize, usize) -> Self + Sync {
-        move |me, p| {
-            assert_eq!(grid.len(), n * n, "stencil: grid must be n×n");
-            let rows = n / p;
-            let block = grid[me * rows * n..(me + 1) * rows * n].to_vec();
-            Self::new(me, p, n, h, iters, Some(block))
-        }
-    }
-
-    fn new(me: usize, p: usize, n: usize, h: usize, iters: usize, block: Option<Vec<f64>>) -> Self {
-        assert!(p >= 1 && n.is_multiple_of(p), "stencil: p must divide n");
-        assert!(h >= 1 && h <= n / p, "stencil: need 1 <= h <= n/p");
+    pub fn counted(n: usize, h: usize, iters: usize) -> Self {
         Stencil1D {
-            me,
-            p,
             n,
             h,
             iters,
-            rows: n / p,
-            st: StState::Begin,
-            t: 0,
-            block,
-            halo_top: Vec::new(),
-            halo_bottom: Vec::new(),
+            grid: None,
         }
     }
 
-    /// The rank's final row slab (data mode, after completion).
-    pub fn result(&self) -> Option<&[f64]> {
-        self.block.as_deref()
+    /// Data mode over a row-major `n × n` grid.
+    pub fn with_data(grid: Vec<f64>, n: usize, h: usize, iters: usize) -> Self {
+        assert_eq!(grid.len(), n * n, "stencil: grid must be n×n");
+        Stencil1D {
+            n,
+            h,
+            iters,
+            grid: Some(grid),
+        }
     }
 
     /// Exact Eq. 1 totals: `2` halo transfers of `h·n` words per rank
@@ -1235,126 +702,73 @@ impl Stencil1D {
             flops: p * iters * (n / p) * n * k * k,
         }
     }
+}
 
-    fn tag(&self, off: u64) -> Tag {
-        Tag(ST_HALO + 4 * self.t as u64 + off)
-    }
+impl RankProgram for Stencil1D {
+    type Output = Option<Vec<f64>>;
 
-    /// One periodic sweep of the local slab using the received halos —
-    /// ascending `(di, dj)` order, bit-identical to the serial kernel.
-    fn update(&mut self) {
-        let (n, h, rows) = (self.n, self.h, self.rows);
-        let Some(block) = &mut self.block else { return };
-        let vr = rows + 2 * h;
-        let mut vert = Vec::with_capacity(vr * n);
-        vert.extend_from_slice(&self.halo_top);
-        vert.extend_from_slice(block);
-        vert.extend_from_slice(&self.halo_bottom);
-        let inv = 1.0 / ((2 * h + 1) * (2 * h + 1)) as f64;
-        for i in 0..rows {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for di in 0..=2 * h {
-                    let base = (i + di) * n;
-                    for dj in 0..=2 * h {
-                        acc += vert[base + (j + n + dj - h) % n];
-                    }
+    fn start(&self, comm: Comm) -> impl Future<Output = Self::Output> {
+        let (p, n, h) = (comm.size(), self.n, self.h);
+        assert!(n.is_multiple_of(p), "stencil: p must divide n");
+        assert!(h >= 1 && h <= n / p, "stencil: need 1 <= h <= n/p");
+        let (me, rows, iters) = (comm.rank(), n / p, self.iters);
+        let mut block = self
+            .grid
+            .as_ref()
+            .map(|g| g[me * rows * n..(me + 1) * rows * n].to_vec());
+        async move {
+            let (north, south) = ((me + p - 1) % p, (me + 1) % p);
+            // `h` rows of my slab from row `first`, as a halo to send.
+            let halo = |block: &Option<Vec<f64>>, first: usize| match block {
+                Some(b) => Payload::Data(Arc::new(b[first * n..(first + h) * n].to_vec())),
+                None => Payload::Counted(h * n),
+            };
+            let k = 2 * h as u64 + 1;
+            comm.mark_collective_begin("stencil");
+            for t in 0..iters as u64 {
+                let tag = |off: u64| Tag(ST_HALO + 4 * t + off);
+                let (top, bottom) = (halo(&block, 0), halo(&block, rows - h));
+                let (halo_top, halo_bottom) = if p == 1 {
+                    // Periodic self-halos, no traffic.
+                    (bottom, top)
+                } else {
+                    comm.send(north, tag(0), top);
+                    comm.send(south, tag(1), bottom);
+                    // South's top rows are my bottom halo; north's bottom
+                    // rows are my top halo.
+                    let halo_bottom = comm.recv(south, tag(0)).await;
+                    (comm.recv(north, tag(1)).await, halo_bottom)
+                };
+                if let Some(block) = &mut block {
+                    sweep(block, halo_top.values(), halo_bottom.values(), n, h);
                 }
-                block[i * n + j] = acc * inv;
+                comm.compute((rows * n) as u64 * k * k);
             }
+            comm.mark_collective_end("stencil");
+            block
         }
     }
 }
 
-impl RankProgram for Stencil1D {
-    fn next(&mut self, delivered: Option<Delivered>) -> Step {
-        let mut delivered = delivered;
-        let (p, n, h, rows) = (self.p, self.n, self.h, self.rows);
-        let north = (self.me + p - 1) % p;
-        let south = (self.me + 1) % p;
-        loop {
-            match self.st {
-                StState::Begin => {
-                    self.st = StState::IterStart;
-                    return Step::CollBegin { op: "stencil" };
+/// One periodic sweep of a row slab using its received halos —
+/// ascending `(di, dj)` order, bit-identical to the serial kernel.
+fn sweep(block: &mut [f64], halo_top: &[f64], halo_bottom: &[f64], n: usize, h: usize) {
+    let rows = block.len() / n;
+    let mut vert = Vec::with_capacity((rows + 2 * h) * n);
+    vert.extend_from_slice(halo_top);
+    vert.extend_from_slice(block);
+    vert.extend_from_slice(halo_bottom);
+    let inv = 1.0 / ((2 * h + 1) * (2 * h + 1)) as f64;
+    for i in 0..rows {
+        for j in 0..n {
+            let mut acc = 0.0;
+            for di in 0..=2 * h {
+                let base = (i + di) * n;
+                for dj in 0..=2 * h {
+                    acc += vert[base + (j + n + dj - h) % n];
                 }
-                StState::IterStart => {
-                    if self.t >= self.iters {
-                        self.st = StState::End;
-                        continue;
-                    }
-                    if p == 1 {
-                        // Periodic self-halos, no traffic.
-                        if let Some(block) = &self.block {
-                            self.halo_top = block[(rows - h) * n..].to_vec();
-                            self.halo_bottom = block[..h * n].to_vec();
-                        }
-                        self.st = StState::Update;
-                    } else {
-                        self.st = StState::SendTop;
-                    }
-                }
-                StState::SendTop => {
-                    let payload = match &self.block {
-                        Some(block) => Payload::Data(Arc::new(block[..h * n].to_vec())),
-                        None => Payload::Counted(h * n),
-                    };
-                    self.st = StState::SendBottom;
-                    return Step::Send {
-                        dest: north,
-                        tag: self.tag(0),
-                        payload,
-                    };
-                }
-                StState::SendBottom => {
-                    let payload = match &self.block {
-                        Some(block) => Payload::Data(Arc::new(block[(rows - h) * n..].to_vec())),
-                        None => Payload::Counted(h * n),
-                    };
-                    self.st = StState::RecvBottom;
-                    return Step::Send {
-                        dest: south,
-                        tag: self.tag(1),
-                        payload,
-                    };
-                }
-                StState::RecvBottom => {
-                    // South's top rows are my bottom halo.
-                    self.st = StState::RecvTop;
-                    return Step::Recv {
-                        src: south,
-                        tag: self.tag(0),
-                    };
-                }
-                StState::RecvTop => {
-                    if let Some(d) = delivered.take() {
-                        self.halo_bottom = d.values().to_vec();
-                    }
-                    // North's bottom rows are my top halo.
-                    self.st = StState::Update;
-                    return Step::Recv {
-                        src: north,
-                        tag: self.tag(1),
-                    };
-                }
-                StState::Update => {
-                    if let Some(d) = delivered.take() {
-                        self.halo_top = d.values().to_vec();
-                    }
-                    self.update();
-                    self.t += 1;
-                    self.st = StState::IterStart;
-                    let k = 2 * h as u64 + 1;
-                    return Step::Compute {
-                        flops: (rows * n) as u64 * k * k,
-                    };
-                }
-                StState::End => {
-                    self.st = StState::Done;
-                    return Step::CollEnd { op: "stencil" };
-                }
-                StState::Done => return Step::Done,
             }
+            block[i * n + j] = acc * inv;
         }
     }
 }

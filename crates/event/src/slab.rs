@@ -22,23 +22,20 @@
 //! is exactly the `VecDeque` semantics, and the simulator's no-wildcard
 //! matching rule means FIFO-per-key is the whole ordering contract.
 
+use crate::program::Payload;
 use psse_sim::lane::Departure;
-use psse_sim::SharedPayload;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// One transfer on the virtual wire: everything the receiver needs to
 /// price the matching receive. The event analogue of `psse-sim`'s
-/// `Envelope`, with the payload optional so counted transfers carry no
-/// allocation.
+/// `Envelope`, where a counted payload carries no allocation.
 #[derive(Debug)]
 pub(crate) struct Wire {
     /// Chunk count and the sender's clock after its last chunk.
     pub departure: Departure,
-    /// Total payload words.
-    pub words: usize,
-    /// The payload, when it was a real buffer.
-    pub data: Option<SharedPayload>,
+    /// What the receiver gets.
+    pub payload: Payload,
 }
 
 /// The Fx multiplicative hash (as used by rustc): fast, fixed-width,
@@ -129,8 +126,7 @@ fn placeholder() -> Wire {
             n_chunks: 0,
             time: 0.0,
         },
-        words: 0,
-        data: None,
+        payload: Payload::Counted(0),
     }
 }
 
@@ -225,8 +221,7 @@ mod tests {
                 n_chunks: 1,
                 time: 0.5,
             },
-            words,
-            data: None,
+            payload: Payload::Counted(words),
         }
     }
 
@@ -239,10 +234,10 @@ mod tests {
         mb.push(4, 7, wire(20));
         mb.push(3, 8, wire(30));
         assert_eq!(mb.live(), 4);
-        assert_eq!(mb.pop(3, 7).unwrap().words, 10);
-        assert_eq!(mb.pop(4, 7).unwrap().words, 20);
+        assert_eq!(mb.pop(3, 7).unwrap().payload.words(), 10);
+        assert_eq!(mb.pop(4, 7).unwrap().payload.words(), 20);
         assert!(mb.pop(4, 7).is_none());
-        assert_eq!(mb.pop(3, 7).unwrap().words, 11);
+        assert_eq!(mb.pop(3, 7).unwrap().payload.words(), 11);
         // Freed cells get reused: no slab growth for the next pushes.
         let cap = mb.nodes.len();
         mb.push(5, 9, wire(40));
@@ -250,10 +245,10 @@ mod tests {
         mb.push(5, 9, wire(42));
         assert_eq!(mb.nodes.len(), cap);
         assert_eq!(mb.recycled(), 3);
-        assert_eq!(mb.pop(5, 9).unwrap().words, 40);
-        assert_eq!(mb.pop(5, 9).unwrap().words, 41);
-        assert_eq!(mb.pop(5, 9).unwrap().words, 42);
-        assert_eq!(mb.pop(3, 8).unwrap().words, 30);
+        assert_eq!(mb.pop(5, 9).unwrap().payload.words(), 40);
+        assert_eq!(mb.pop(5, 9).unwrap().payload.words(), 41);
+        assert_eq!(mb.pop(5, 9).unwrap().payload.words(), 42);
+        assert_eq!(mb.pop(3, 8).unwrap().payload.words(), 30);
         assert_eq!(mb.live(), 0);
         assert_eq!(mb.peak_live(), 4);
     }

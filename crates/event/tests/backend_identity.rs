@@ -45,7 +45,7 @@ fn busy_plan() -> FaultPlan {
     }
 }
 
-/// The anchor test: the resumable [`BinomialAllreduce`] program driven
+/// The anchor test: the [`BinomialAllreduce`] program's `async` body driven
 /// through the *thread* backend must be bit-identical — profile, trace,
 /// per-rank results — to the native `Rank::allreduce_sum` collective.
 /// If this holds, the program is a faithful transliteration, and the
@@ -68,12 +68,8 @@ fn binomial_program_matches_native_collective_on_threads() {
         )
         .unwrap();
         assert_eq!(native.profile, program.profile, "p={p}");
-        for (r, prog) in program.programs.iter().enumerate() {
-            assert_eq!(
-                native.results[r],
-                prog.result().unwrap().to_vec(),
-                "p={p} rank {r}"
-            );
+        for (r, out) in program.results.iter().enumerate() {
+            assert_eq!(native.results[r], out.clone().unwrap(), "p={p} rank {r}");
         }
     }
 }
@@ -97,8 +93,12 @@ fn backends_bit_identical_clean_runs() {
         )
         .unwrap();
         assert_eq!(a.profile, b.profile, "binomial p={p}");
-        for (x, y) in a.programs.iter().zip(&b.programs) {
-            assert_eq!(x.result().unwrap(), y.result().unwrap(), "binomial p={p}");
+        for (x, y) in a.results.iter().zip(&b.results) {
+            assert_eq!(
+                x.as_deref().unwrap(),
+                y.as_deref().unwrap(),
+                "binomial p={p}"
+            );
         }
 
         let a = run_programs(
@@ -279,49 +279,15 @@ fn backends_bit_identical_matmul_skeleton() {
     assert_eq!(ev.profile.total_flops(), t.flops);
 }
 
-/// The work-stealing executor must not change one observable byte
-/// relative to the serial scheduler.
-#[test]
-fn parallel_executor_is_byte_identical_to_serial() {
-    let data: Vec<f64> = (0..70).map(|i| (i as f64).cos()).collect();
-    for p in [1, 7, 24] {
-        let c = SimConfig {
-            faults: Some(busy_plan()),
-            ..cfg(Backend::Events)
-        };
-        let serial =
-            EventMachine::run(p, &c, BinomialAllreduce::with_data(Tag(1), data.clone())).unwrap();
-        for workers in [2, 4, 9] {
-            let par = EventMachine::run_parallel(
-                p,
-                &c,
-                BinomialAllreduce::with_data(Tag(1), data.clone()),
-                workers,
-            )
-            .unwrap();
-            assert_eq!(serial.profile, par.profile, "p={p} workers={workers}");
-            for (x, y) in serial.programs.iter().zip(&par.programs) {
-                assert_eq!(x.result().unwrap(), y.result().unwrap());
-            }
-        }
-    }
-}
-
 /// A program that receives a message nobody sends is reported as a
 /// proven deadlock with the full blocked set — no timeout, no sleep.
 #[test]
 fn deadlock_is_proven_with_blocked_set() {
-    struct RecvForever;
-    impl RankProgram for RecvForever {
-        fn next(&mut self, _d: Option<Delivered>) -> Step {
-            Step::Recv {
-                src: 0,
-                tag: Tag(77),
-            }
-        }
-    }
     let t0 = std::time::Instant::now();
-    let err = EventMachine::run(3, &cfg(Backend::Events), |_r, _p| RecvForever).unwrap_err();
+    let recv_forever = |comm: Comm| async move {
+        comm.recv(0, Tag(77)).await;
+    };
+    let err = EventMachine::run(3, &cfg(Backend::Events), recv_forever).unwrap_err();
     match err {
         SimError::Deadlock { rank, blocked } => {
             assert_eq!(rank, 0);
@@ -336,30 +302,15 @@ fn deadlock_is_proven_with_blocked_set() {
 /// — still reports exactly the blocked ranks.
 #[test]
 fn partial_deadlock_reports_only_blocked_ranks() {
-    struct Half {
-        me: usize,
-        st: u8,
-    }
-    impl RankProgram for Half {
-        fn next(&mut self, _d: Option<Delivered>) -> Step {
-            // Even ranks finish immediately; odd ranks wait for a
-            // message their (even) left neighbour never sends.
-            if self.me.is_multiple_of(2) {
-                return Step::Done;
-            }
-            match self.st {
-                0 => {
-                    self.st = 1;
-                    Step::Recv {
-                        src: self.me - 1,
-                        tag: Tag(5),
-                    }
-                }
-                _ => Step::Done,
-            }
+    // Even ranks finish immediately; odd ranks wait for a message
+    // their (even) left neighbour never sends.
+    let half = |comm: Comm| async move {
+        let me = comm.rank();
+        if !me.is_multiple_of(2) {
+            comm.recv(me - 1, Tag(5)).await;
         }
-    }
-    let err = EventMachine::run(4, &cfg(Backend::Events), |me, _p| Half { me, st: 0 }).unwrap_err();
+    };
+    let err = EventMachine::run(4, &cfg(Backend::Events), half).unwrap_err();
     match err {
         SimError::Deadlock { rank, blocked } => {
             assert_eq!(rank, 1);
@@ -373,62 +324,48 @@ fn partial_deadlock_reports_only_blocked_ranks() {
 /// exactly like the thread backend.
 #[test]
 fn self_send_is_free_and_receivable() {
-    struct SelfSend {
-        st: u8,
-    }
-    impl RankProgram for SelfSend {
-        fn next(&mut self, d: Option<Delivered>) -> Step {
-            self.st += 1;
-            match self.st {
-                1 => Step::Send {
-                    dest: 0,
-                    tag: Tag(5),
-                    payload: Payload::Data(std::sync::Arc::new(vec![42.0])),
-                },
-                2 => Step::Recv {
-                    src: 0,
-                    tag: Tag(5),
-                },
-                _ => {
-                    let d = d.expect("delivery");
-                    assert_eq!(d.values(), &[42.0]);
-                    Step::Done
-                }
-            }
-        }
-    }
-    let out = EventMachine::run(1, &cfg(Backend::Events), |_m, _p| SelfSend { st: 0 }).unwrap();
+    let self_send = |comm: Comm| async move {
+        comm.send(0, Tag(5), Payload::Data(std::sync::Arc::new(vec![42.0])));
+        let d = comm.recv(0, Tag(5)).await;
+        assert_eq!(d.values(), &[42.0]);
+    };
+    let out = EventMachine::run(1, &cfg(Backend::Events), self_send).unwrap();
     assert_eq!(out.profile.per_rank[0].msgs_sent, 0);
     assert_eq!(out.profile.per_rank[0].words_sent, 0);
     assert_eq!(out.profile.makespan, 0.0);
+}
+
+/// A body that returns while a transfer sent to it is still unconsumed
+/// fails the debug-build balance check — on both backends, with the
+/// same counts.
+#[cfg(debug_assertions)]
+#[test]
+fn unconsumed_transfer_fails_the_balance_check() {
+    let orphan = |comm: Comm| async move {
+        if comm.rank() == 0 {
+            comm.send(1, Tag(3), Payload::Data(std::sync::Arc::new(vec![1.0; 4])));
+        }
+    };
+    for backend in [Backend::Threads, Backend::Events] {
+        let err = run_programs(2, &cfg(backend), orphan).unwrap_err();
+        assert!(
+            matches!(err, SimError::UnbalancedProfile { sent: 4, recvd: 0 }),
+            "{backend:?}: {err:?}"
+        );
+    }
 }
 
 /// Errors surface like the thread backend's triage: the lowest-ranked
 /// real failure wins.
 #[test]
 fn lowest_ranked_error_wins() {
-    struct BadPeer {
-        me: usize,
-        st: u8,
-    }
-    impl RankProgram for BadPeer {
-        fn next(&mut self, _d: Option<Delivered>) -> Step {
-            if self.st == 0 {
-                self.st = 1;
-                if self.me <= 1 {
-                    // Ranks 0 and 1 both address an out-of-range peer.
-                    return Step::Send {
-                        dest: 99,
-                        tag: Tag(0),
-                        payload: Payload::Counted(4),
-                    };
-                }
-            }
-            Step::Done
+    let bad_peer = |comm: Comm| async move {
+        if comm.rank() <= 1 {
+            // Ranks 0 and 1 both address an out-of-range peer.
+            comm.send(99, Tag(0), Payload::Counted(4));
         }
-    }
-    let err =
-        EventMachine::run(3, &cfg(Backend::Events), |me, _p| BadPeer { me, st: 0 }).unwrap_err();
+    };
+    let err = EventMachine::run(3, &cfg(Backend::Events), bad_peer).unwrap_err();
     assert!(
         matches!(err, SimError::RankOutOfRange { rank: 99, size: 3 }),
         "{err:?}"
@@ -456,9 +393,9 @@ fn backends_bit_identical_samplesort() {
         .unwrap();
         assert_eq!(a.profile, b.profile, "samplesort p={p}");
         let mut sorted = Vec::new();
-        for (x, y) in a.programs.iter().zip(&b.programs) {
-            assert_eq!(x.result().unwrap(), y.result().unwrap(), "p={p}");
-            sorted.extend_from_slice(x.result().unwrap());
+        for (x, y) in a.results.iter().zip(&b.results) {
+            assert_eq!(x.as_deref().unwrap(), y.as_deref().unwrap(), "p={p}");
+            sorted.extend_from_slice(x.as_deref().unwrap());
         }
         let mut expect = keys.clone();
         expect.sort_by(|a, b| a.total_cmp(b));
@@ -482,8 +419,8 @@ fn backends_bit_identical_stencil() {
         let a = run_programs(p, &cfg(Backend::Threads), mk()).unwrap();
         let b = run_programs(p, &cfg(Backend::Events), mk()).unwrap();
         assert_eq!(a.profile, b.profile, "stencil p={p}");
-        for (x, y) in a.programs.iter().zip(&b.programs) {
-            assert_eq!(x.result().unwrap(), y.result().unwrap(), "p={p}");
+        for (x, y) in a.results.iter().zip(&b.results) {
+            assert_eq!(x.as_deref().unwrap(), y.as_deref().unwrap(), "p={p}");
         }
         let t = Stencil1D::expected_totals(p as u64, n as u64, 1, 3, 37);
         assert_eq!(a.profile.total_words_sent(), t.words, "p={p}");
@@ -524,11 +461,11 @@ fn new_workloads_bit_identical_under_faults() {
         )
         .unwrap();
         assert_eq!(a.profile, b.profile, "samplesort faulted p={p}");
-        for ((x, y), z) in a.programs.iter().zip(&b.programs).zip(&clean.programs) {
-            assert_eq!(x.result().unwrap(), y.result().unwrap());
+        for ((x, y), z) in a.results.iter().zip(&b.results).zip(&clean.results) {
+            assert_eq!(x.as_deref().unwrap(), y.as_deref().unwrap());
             assert_eq!(
-                x.result().unwrap(),
-                z.result().unwrap(),
+                x.as_deref().unwrap(),
+                z.as_deref().unwrap(),
                 "faults change bits"
             );
         }
@@ -538,11 +475,11 @@ fn new_workloads_bit_identical_under_faults() {
         let b = run_programs(p, &faulted(Backend::Events), mk()).unwrap();
         let clean = run_programs(p, &cfg(Backend::Threads), mk()).unwrap();
         assert_eq!(a.profile, b.profile, "stencil faulted p={p}");
-        for ((x, y), z) in a.programs.iter().zip(&b.programs).zip(&clean.programs) {
-            assert_eq!(x.result().unwrap(), y.result().unwrap());
+        for ((x, y), z) in a.results.iter().zip(&b.results).zip(&clean.results) {
+            assert_eq!(x.as_deref().unwrap(), y.as_deref().unwrap());
             assert_eq!(
-                x.result().unwrap(),
-                z.result().unwrap(),
+                x.as_deref().unwrap(),
+                z.as_deref().unwrap(),
                 "faults change bits"
             );
         }

@@ -6,13 +6,16 @@
 //! arithmetic in the same order"; these tests hold it to that.
 //!
 //! Engagement itself (that `run` really does take the fast path on the
-//! headline workload) is pinned by unit tests inside `fastpath.rs`;
-//! here a fixed `p = 10^5` fixture additionally pins the makespan to
+//! headline workload, without building rank bodies) is pinned by unit
+//! tests inside `fastpath.rs` and by a body-counting program here; a
+//! fixed `p = 10^5` fixture additionally pins the makespan to
 //! exact bits so any silent arithmetic change — in either path — fails
 //! loudly.
 
 use proptest::prelude::*;
 use psse_event::prelude::*;
+use std::future::Future;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bit-exact profile comparison: `PartialEq` on `Profile` covers every
 /// counter, but compares clocks with `f64 ==`; chase it with `to_bits`
@@ -86,20 +89,60 @@ proptest! {
     }
 }
 
-/// The parallel executor must dispatch to the same fast path (and the
-/// general parallel executor must still agree) — one fixed spot check.
+/// A counted allreduce that counts the rank bodies it builds; its claim
+/// is the inner program's.
+struct Counting<'a> {
+    inner: BinomialAllreduce,
+    built: &'a AtomicUsize,
+}
+
+impl RankProgram for Counting<'_> {
+    type Output = Option<Vec<f64>>;
+
+    fn start(&self, comm: Comm) -> impl Future<Output = Self::Output> {
+        self.built.fetch_add(1, Ordering::Relaxed);
+        self.inner.start(comm)
+    }
+
+    fn analytic(&self) -> Option<AnalyticOp> {
+        self.inner.analytic()
+    }
+}
+
+/// The fast path engages from the program's one claim and builds no
+/// rank bodies; a traced run of the same program, and a data-mode run,
+/// take the general path and build (and run) every body.
 #[test]
-fn parallel_entry_point_agrees() {
+fn fast_path_builds_no_bodies_and_observed_runs_take_the_general_path() {
+    const P: usize = 1000;
     let cfg = SimConfig {
         backend: Backend::Events,
-        max_message_words: 37,
         ..SimConfig::default()
     };
-    let fast =
-        EventMachine::run_parallel(96, &cfg, BinomialAllreduce::counted(Tag(0), 100), 4).unwrap();
-    let general =
-        EventMachine::run_general(96, &cfg, BinomialAllreduce::counted(Tag(0), 100)).unwrap();
-    assert_profiles_identical(&fast.profile, &general.profile);
+    let built = AtomicUsize::new(0);
+    let counting = || Counting {
+        inner: BinomialAllreduce::counted(Tag(0), 16),
+        built: &built,
+    };
+    let fast = EventMachine::run(P, &cfg, counting()).unwrap();
+    assert_eq!(built.load(Ordering::Relaxed), 0, "fast path built bodies");
+    let traced = SimConfig {
+        record_trace: true,
+        ..cfg.clone()
+    };
+    let general = EventMachine::run(P, &traced, counting()).unwrap();
+    assert_eq!(built.load(Ordering::Relaxed), P);
+    assert!(general.profile.events.iter().all(|e| !e.is_empty()));
+    assert_eq!(
+        fast.profile.total_msgs_sent(),
+        general.profile.total_msgs_sent()
+    );
+
+    let data = EventMachine::run(P, &cfg, BinomialAllreduce::with_data(Tag(0), vec![1.0])).unwrap();
+    assert!(data
+        .results
+        .iter()
+        .all(|r| r.as_deref() == Some(&[P as f64][..])));
 }
 
 /// The pinned `p = 10^5` fixture: exact totals, fast ≡ general, and the

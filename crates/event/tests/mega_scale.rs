@@ -18,7 +18,7 @@ fn counted_cfg() -> SimConfig {
     }
 }
 
-fn check_allreduce_totals(out: &EventOutcome<BinomialAllreduce>, p: u64, n: u64, m: u64) {
+fn check_allreduce_totals(out: &EventOutcome<Option<Vec<f64>>>, p: u64, n: u64, m: u64) {
     let t = BinomialAllreduce::expected_totals(p, n, m);
     assert_eq!(out.profile.total_msgs_sent(), t.msgs, "S mismatch");
     assert_eq!(out.profile.total_words_sent(), t.words, "W mismatch");

@@ -12,7 +12,6 @@
 
 use proptest::prelude::*;
 use psse::event::prelude::*;
-use psse::event::RankProgram;
 use psse::sim::machine::SimConfig;
 use psse::sim::prelude::{FaultPlan, FaultSpec, RecoveryPolicy};
 
@@ -40,10 +39,9 @@ fn retry_plan(seed: u64, drop: f64, corrupt: f64, dup: f64, delay: f64) -> Fault
 /// Run `make` on both backends under `cfg` and require byte identity:
 /// equal profiles (counters, traces, makespan) and equal per-rank
 /// reduced values.
-fn assert_backends_agree<P, F>(p: usize, cfg: &SimConfig, make: F, ctx: &str)
+fn assert_backends_agree<P>(p: usize, cfg: &SimConfig, program: P, ctx: &str)
 where
-    P: RankProgram + Send,
-    F: Fn(usize, usize) -> P + Sync,
+    P: RankProgram<Output = Option<Vec<f64>>> + Clone + Sync,
 {
     let threads = run_programs(
         p,
@@ -51,7 +49,7 @@ where
             backend: Backend::Threads,
             ..cfg.clone()
         },
-        &make,
+        program.clone(),
     )
     .unwrap_or_else(|e| panic!("{ctx}: thread backend failed: {e}"));
     let events = run_programs(
@@ -60,10 +58,11 @@ where
             backend: Backend::Events,
             ..cfg.clone()
         },
-        &make,
+        program,
     )
     .unwrap_or_else(|e| panic!("{ctx}: event backend failed: {e}"));
     assert_eq!(threads.profile, events.profile, "{ctx}: profile diverged");
+    assert_eq!(threads.results, events.results, "{ctx}: results diverged");
 }
 
 proptest! {
@@ -175,8 +174,8 @@ proptest! {
         };
         let (threads, events) = (run(Backend::Threads), run(Backend::Events));
         prop_assert_eq!(&threads.profile, &events.profile);
-        for (r, (a, b)) in threads.programs.iter().zip(&events.programs).enumerate() {
-            let (a, b) = (a.result().unwrap(), b.result().unwrap());
+        for (r, (a, b)) in threads.results.iter().zip(&events.results).enumerate() {
+            let (a, b) = (a.as_deref().unwrap(), b.as_deref().unwrap());
             prop_assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b) {
                 prop_assert_eq!(x.to_bits(), y.to_bits(), "rank {} diverged", r);
